@@ -13,33 +13,34 @@ use crate::store::{PartitionStore, SpillRow, StoreConfig};
 
 /// A lineage node: something that can produce partition `i` on demand.
 ///
-/// Narrow operations implement `compute_partition` by pulling the parent's
-/// partition and transforming it in place — so a chain of narrow ops is one
-/// fused pass (a *stage*). Wide operations materialize all map-side output
-/// once, then serve bucketed partitions.
+/// Narrow operations pull the parent's partition, or have its rows pushed
+/// through them, and transform it — so a chain of narrow ops is one fused
+/// pass (a *stage*). Wide operations materialize all map-side output once,
+/// then serve bucketed partitions.
 ///
 /// Every op is also a [`Lineage`] node (the supertrait), giving the plan
-/// optimizer a type-free view of the DAG.
+/// optimizer a type-free view of the DAG. Its [`Lineage::plan`] is the
+/// node's one description: `explain()`, `num_stages()` and
+/// `explain_plans()` all read that tree.
 pub(crate) trait Op<T>: Lineage {
     /// Number of partitions.
     fn partitions(&self) -> usize;
-    /// Compute one partition's rows.
-    fn compute_partition(&self, idx: usize) -> Vec<T>;
     /// Compute one partition as a shared handle. Nodes that hold their
-    /// rows resident (sources, caches, materialized shuffles) override
-    /// this to hand out an `Arc` instead of deep-cloning the partition;
-    /// everything else falls back to wrapping the owned result, which a
-    /// consumer can unwrap for free via [`take_rows`].
-    fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
-        Arc::new(self.compute_partition(idx))
-    }
+    /// rows resident (sources, caches, materialized shuffles) hand out an
+    /// `Arc` to them instead of deep-cloning the partition; everything else
+    /// wraps a freshly computed `Vec`, which a consumer that needs owned
+    /// rows unwraps for free via [`take_rows`].
+    fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>>;
     /// Stream one partition's rows into `emit` — the push-based (fused)
     /// evaluation path. Row-wise narrow ops override this to wrap `emit`
     /// and forward to their parent, so a chain of such ops runs as one
     /// composed pass with no intermediate `Vec`s. Everything else (the
     /// default) materializes and replays — a fusion barrier.
-    fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
-        for row in self.compute_partition(idx) {
+    fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T))
+    where
+        T: Clone,
+    {
+        for row in take_rows(self.compute_partition_shared(idx)) {
             emit(row);
         }
     }
@@ -56,13 +57,6 @@ pub(crate) trait Op<T>: Lineage {
     {
         Box::new(take_rows(self.compute_partition_shared(idx)).into_iter())
     }
-    /// Human-readable node label for `explain()`.
-    fn label(&self) -> String;
-    /// Child lineage labels (already-rendered subtrees).
-    fn explain_children(&self, indent: usize, out: &mut String);
-    /// Number of stages (shuffle boundaries + 1) along the deepest lineage
-    /// path ending at this node.
-    fn stages(&self) -> usize;
 }
 
 /// Upcast an op handle to its type-free lineage view.
@@ -71,8 +65,8 @@ pub(crate) fn up<T>(op: &Arc<dyn Op<T>>) -> &dyn Lineage {
 }
 
 /// Take ownership of a shared partition: free when the handle is unique
-/// (the default `compute_partition_shared` wrapper), one clone when the
-/// rows are resident elsewhere (a source or cache keeps them).
+/// (a freshly computed partition), one clone when the rows are resident
+/// elsewhere (a source or cache keeps them).
 pub(crate) fn take_rows<T: Clone>(shared: Arc<Vec<T>>) -> Vec<T> {
     Arc::try_unwrap(shared).unwrap_or_else(|kept| (*kept).clone())
 }
@@ -171,9 +165,6 @@ where
     fn partitions(&self) -> usize {
         self.parts.partitions()
     }
-    fn compute_partition(&self, idx: usize) -> Vec<T> {
-        take_rows(self.compute_partition_shared(idx))
-    }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
         self.parts.load(idx).expect("source parts prefilled")
     }
@@ -189,32 +180,22 @@ where
     fn stream_partition(&self, idx: usize) -> Box<dyn Iterator<Item = T> + '_> {
         Box::new(self.parts.stream(idx).expect("source parts prefilled"))
     }
-    fn label(&self) -> String {
-        let n: usize = (0..self.parts.partitions())
-            .map(|p| self.parts.part_len(p).unwrap_or(0))
-            .sum();
-        format!("Source[{} rows, {} partitions]", n, self.parts.partitions())
-    }
-    fn explain_children(&self, _indent: usize, _out: &mut String) {}
-    fn stages(&self) -> usize {
-        1
-    }
 }
 
 impl<T: Clone + Send + Sync> Lineage for Source<T> {
     fn plan(&self) -> PlanNode {
-        let est_bytes = Lineage::est_rows(self).map(|r| r * std::mem::size_of::<T>() as u64);
+        let rows = Lineage::est_rows(self);
+        let est_bytes = rows.map(|r| r * std::mem::size_of::<T>() as u64);
         PlanNode {
             id: self.lineage_id(),
-            label: {
-                let n: usize = (0..self.parts.partitions())
-                    .map(|p| self.parts.part_len(p).unwrap_or(0))
-                    .sum();
-                format!("Source[{} rows, {} partitions]", n, self.parts.partitions())
-            },
+            label: format!(
+                "Source[{} rows, {} partitions]",
+                rows.unwrap_or(0),
+                self.parts.partitions()
+            ),
             kind: PlanKind::Source,
             partitions: self.parts.partitions(),
-            est_rows: Lineage::est_rows(self),
+            est_rows: rows,
             row_bytes: std::mem::size_of::<T>(),
             measured_bytes: None,
             residency: self.parts.residency(est_bytes),
@@ -247,7 +228,7 @@ struct MapOp<U, T, F> {
 
 impl<U, T, F> MapOp<U, T, F>
 where
-    U: Send + Sync,
+    U: Clone + Send + Sync,
     T: Clone + Send + Sync,
     F: Fn(U, &mut dyn FnMut(T)) + Send + Sync,
 {
@@ -260,7 +241,7 @@ where
             let mut emit = |t: T| out.push(t);
             self.parent.push_partition(idx, &mut |u| (self.f)(u, &mut emit));
         } else {
-            let input = self.parent.compute_partition(idx);
+            let input = take_rows(self.parent.compute_partition_shared(idx));
             out.reserve(input.len());
             let mut emit = |t: T| out.push(t);
             for row in input {
@@ -273,18 +254,12 @@ where
 
 impl<U, T, F> Op<T> for MapOp<U, T, F>
 where
-    U: Send + Sync,
+    U: Clone + Send + Sync,
     T: Clone + Send + Sync + SpillRow,
     F: Fn(U, &mut dyn FnMut(T)) + Send + Sync,
 {
     fn partitions(&self) -> usize {
         self.parent.partitions()
-    }
-    fn compute_partition(&self, idx: usize) -> Vec<T> {
-        if self.auto.armed() {
-            return (*self.compute_partition_shared(idx)).clone();
-        }
-        self.compute_raw(idx)
     }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
         if self.auto.armed() {
@@ -326,15 +301,6 @@ where
         }
         Box::new(take_rows(self.compute_partition_shared(idx)).into_iter())
     }
-    fn label(&self) -> String {
-        self.name.to_string()
-    }
-    fn explain_children(&self, indent: usize, out: &mut String) {
-        explain_into(&*self.parent, indent, out);
-    }
-    fn stages(&self) -> usize {
-        self.parent.stages()
-    }
 }
 
 impl<U, T, F> Lineage for MapOp<U, T, F>
@@ -366,11 +332,6 @@ where
     fn note_consumed(&self) -> Option<u32> {
         Some(self.consumed.fetch_add(1, Ordering::Relaxed) + 1)
     }
-    fn est_rows(&self) -> Option<u64> {
-        // Filters shrink and flat_maps grow; the parent count is the best
-        // static estimate available (exact for plain maps).
-        up(&self.parent).est_rows()
-    }
     fn est_cache_bytes(&self) -> Option<u64> {
         Lineage::est_rows(self).map(|r| r * std::mem::size_of::<T>() as u64)
     }
@@ -399,28 +360,13 @@ where
     fn partitions(&self) -> usize {
         self.parent.partitions()
     }
-    fn compute_partition(&self, idx: usize) -> Vec<U> {
-        if self.auto.armed() {
-            return (*self.compute_partition_shared(idx)).clone();
-        }
-        (self.f)(&*self.parent, idx)
-    }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<U>> {
         if self.auto.armed() {
             return self
                 .auto
                 .get_or_init(idx, || (self.f)(&*self.parent, idx));
         }
-        Arc::new(self.compute_partition(idx))
-    }
-    fn label(&self) -> String {
-        "MapPartitions".to_string()
-    }
-    fn explain_children(&self, indent: usize, out: &mut String) {
-        explain_into(&*self.parent, indent, out);
-    }
-    fn stages(&self) -> usize {
-        self.parent.stages()
+        Arc::new((self.f)(&*self.parent, idx))
     }
 }
 
@@ -449,9 +395,6 @@ where
     fn note_consumed(&self) -> Option<u32> {
         Some(self.consumed.fetch_add(1, Ordering::Relaxed) + 1)
     }
-    fn est_rows(&self) -> Option<u64> {
-        up(&self.parent).est_rows()
-    }
     fn est_cache_bytes(&self) -> Option<u64> {
         Lineage::est_rows(self).map(|r| r * std::mem::size_of::<U>() as u64)
     }
@@ -465,17 +408,9 @@ struct UnionOp<T> {
     right: Arc<dyn Op<T>>,
 }
 
-impl<T: Send + Sync> Op<T> for UnionOp<T> {
+impl<T: Clone + Send + Sync> Op<T> for UnionOp<T> {
     fn partitions(&self) -> usize {
         self.left.partitions() + self.right.partitions()
-    }
-    fn compute_partition(&self, idx: usize) -> Vec<T> {
-        let l = self.left.partitions();
-        if idx < l {
-            self.left.compute_partition(idx)
-        } else {
-            self.right.compute_partition(idx - l)
-        }
     }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
         let l = self.left.partitions();
@@ -493,16 +428,6 @@ impl<T: Send + Sync> Op<T> for UnionOp<T> {
         } else {
             self.right.push_partition(idx - l, emit);
         }
-    }
-    fn label(&self) -> String {
-        "Union".to_string()
-    }
-    fn explain_children(&self, indent: usize, out: &mut String) {
-        explain_into(&*self.left, indent, out);
-        explain_into(&*self.right, indent, out);
-    }
-    fn stages(&self) -> usize {
-        self.left.stages().max(self.right.stages())
     }
 }
 
@@ -524,9 +449,6 @@ impl<T: Send + Sync> Lineage for UnionOp<T> {
         visit(up(&self.left));
         visit(up(&self.right));
     }
-    fn est_rows(&self) -> Option<u64> {
-        Some(up(&self.left).est_rows()? + up(&self.right).est_rows()?)
-    }
 }
 
 // ---------- cache ----------
@@ -540,9 +462,6 @@ struct CacheOp<T> {
 impl<T: Clone + Send + Sync + SpillRow> Op<T> for CacheOp<T> {
     fn partitions(&self) -> usize {
         self.parent.partitions()
-    }
-    fn compute_partition(&self, idx: usize) -> Vec<T> {
-        take_rows(self.compute_partition_shared(idx))
     }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
         if self.store.is_filled(idx) {
@@ -572,15 +491,6 @@ impl<T: Clone + Send + Sync + SpillRow> Op<T> for CacheOp<T> {
         }
         Box::new(take_rows(self.compute_partition_shared(idx)).into_iter())
     }
-    fn label(&self) -> String {
-        "Cache".to_string()
-    }
-    fn explain_children(&self, indent: usize, out: &mut String) {
-        explain_into(&*self.parent, indent, out);
-    }
-    fn stages(&self) -> usize {
-        self.parent.stages()
-    }
 }
 
 impl<T: Clone + Send + Sync> Lineage for CacheOp<T> {
@@ -601,9 +511,6 @@ impl<T: Clone + Send + Sync> Lineage for CacheOp<T> {
     fn lineage_children(&self, visit: &mut dyn FnMut(&dyn Lineage)) {
         visit(up(&self.parent));
     }
-    fn est_rows(&self) -> Option<u64> {
-        up(&self.parent).est_rows()
-    }
 }
 
 // ---------- repartition (wide, round-robin) ----------
@@ -619,7 +526,7 @@ impl<T: Clone + Send + Sync + SpillRow> RepartitionOp<T> {
         self.store.fill_once(|| {
             let inputs: Vec<Vec<T>> = (0..self.parent.partitions())
                 .into_par_iter()
-                .map(|i| self.parent.compute_partition(i))
+                .map(|i| take_rows(self.parent.compute_partition_shared(i)))
                 .collect();
             let mut out: Vec<Vec<T>> = (0..self.target).map(|_| Vec::new()).collect();
             for (i, row) in inputs.into_iter().flatten().enumerate() {
@@ -633,9 +540,6 @@ impl<T: Clone + Send + Sync + SpillRow> RepartitionOp<T> {
 impl<T: Clone + Send + Sync + SpillRow> Op<T> for RepartitionOp<T> {
     fn partitions(&self) -> usize {
         self.target
-    }
-    fn compute_partition(&self, idx: usize) -> Vec<T> {
-        take_rows(self.compute_partition_shared(idx))
     }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
         self.ensure_filled();
@@ -653,15 +557,6 @@ impl<T: Clone + Send + Sync + SpillRow> Op<T> for RepartitionOp<T> {
     fn stream_partition(&self, idx: usize) -> Box<dyn Iterator<Item = T> + '_> {
         self.ensure_filled();
         Box::new(self.store.stream(idx).expect("repartition store filled"))
-    }
-    fn label(&self) -> String {
-        format!("Repartition[{}] === stage boundary ===", self.target)
-    }
-    fn explain_children(&self, indent: usize, out: &mut String) {
-        explain_into(&*self.parent, indent, out);
-    }
-    fn stages(&self) -> usize {
-        self.parent.stages() + 1
     }
 }
 
@@ -682,9 +577,6 @@ impl<T: Clone + Send + Sync + SpillRow> Lineage for RepartitionOp<T> {
     }
     fn lineage_children(&self, visit: &mut dyn FnMut(&dyn Lineage)) {
         visit(up(&self.parent));
-    }
-    fn est_rows(&self) -> Option<u64> {
-        up(&self.parent).est_rows()
     }
     fn run_stage(&self, inputs: &mut dyn FnMut(&dyn Lineage)) {
         inputs(up(&self.parent));
@@ -725,9 +617,6 @@ impl<T: Send + Sync> Op<T> for RetryOp<T> {
     fn partitions(&self) -> usize {
         self.parent.partitions()
     }
-    fn compute_partition(&self, idx: usize) -> Vec<T> {
-        self.run_bounded(|| self.parent.compute_partition(idx))
-    }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
         self.run_bounded(|| self.parent.compute_partition_shared(idx))
     }
@@ -735,22 +624,13 @@ impl<T: Send + Sync> Op<T> for RetryOp<T> {
     // A push-through retry that re-ran a panicking parent after rows had
     // already been emitted would duplicate them downstream; the default
     // (materialize under run_bounded, then replay) keeps retries atomic.
-    fn label(&self) -> String {
-        format!("Retry[max {} attempts]", self.policy.max_attempts)
-    }
-    fn explain_children(&self, indent: usize, out: &mut String) {
-        explain_into(&*self.parent, indent, out);
-    }
-    fn stages(&self) -> usize {
-        self.parent.stages()
-    }
 }
 
 impl<T: Send + Sync> Lineage for RetryOp<T> {
     fn plan(&self) -> PlanNode {
         PlanNode {
             id: self.lineage_id(),
-            label: Op::label(self),
+            label: format!("Retry[max {} attempts]", self.policy.max_attempts),
             kind: PlanKind::Retry,
             partitions: self.parent.partitions(),
             est_rows: Lineage::est_rows(self),
@@ -763,22 +643,9 @@ impl<T: Send + Sync> Lineage for RetryOp<T> {
     fn lineage_children(&self, visit: &mut dyn FnMut(&dyn Lineage)) {
         visit(up(&self.parent));
     }
-    fn est_rows(&self) -> Option<u64> {
-        up(&self.parent).est_rows()
-    }
     // The stage runner stops here: a map side below a retry runs inside
     // the retried partition task, so a panic there is retried, not raised.
     fn run_stage(&self, _inputs: &mut dyn FnMut(&dyn Lineage)) {}
-}
-
-/// Render one lineage node and its children, indenting per level.
-pub(crate) fn explain_into<T>(op: &dyn Op<T>, indent: usize, out: &mut String) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-    out.push_str(&op.label());
-    out.push('\n');
-    op.explain_children(indent + 1, out);
 }
 
 // ---------- public API ----------
@@ -931,7 +798,9 @@ impl<T: Clone + Send + Sync + SpillRow + 'static> Dataset<T> {
         U: Clone + Send + Sync + SpillRow + 'static,
         F: Fn(Vec<T>) -> Vec<U> + Send + Sync + 'static,
     {
-        self.partition_wise(move |parent: &dyn Op<T>, idx| f(parent.compute_partition(idx)))
+        self.partition_wise(move |parent: &dyn Op<T>, idx| {
+            f(take_rows(parent.compute_partition_shared(idx)))
+        })
     }
 
     /// Like [`Dataset::map_partitions`], but `f` reads the partition as
@@ -1123,7 +992,9 @@ impl<T: Clone + Send + Sync + SpillRow + 'static> Dataset<T> {
         let exec = exec.shrink_to(n);
         let dist = Block::new(n, exec.parts_for(n));
         let groups: Vec<Vec<Vec<T>>> = exec.map_parts(&dist, |_, range| {
-            range.map(|i| self.op.compute_partition(i)).collect()
+            range
+                .map(|i| take_rows(self.op.compute_partition_shared(i)))
+                .collect()
         });
         let mut out = Vec::new();
         for group in groups {
@@ -1151,15 +1022,13 @@ impl<T: Clone + Send + Sync + SpillRow + 'static> Dataset<T> {
     /// Number of execution stages: shuffle boundaries + 1 along the
     /// deepest lineage path — the quantity `explain()` marks visually.
     pub fn num_stages(&self) -> usize {
-        self.op.stages()
+        up(&self.op).plan().stage_count()
     }
 
     /// Render the lineage tree, with stage boundaries marked at wide
     /// operations.
     pub fn explain(&self) -> String {
-        let mut out = String::new();
-        explain_into(&*self.op, 0, &mut out);
-        out
+        up(&self.op).plan().lineage_text()
     }
 
     /// The optimizer's view of this plan: naive and optimized renderings
@@ -1175,19 +1044,19 @@ struct CoalesceOp<T> {
     target: usize,
 }
 
-impl<T: Send + Sync> Op<T> for CoalesceOp<T> {
+impl<T: Clone + Send + Sync> Op<T> for CoalesceOp<T> {
     fn partitions(&self) -> usize {
         self.target
     }
-    fn compute_partition(&self, idx: usize) -> Vec<T> {
+    fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
         let sources = self.parent.partitions();
         let start = idx * self.group;
         let end = ((idx + 1) * self.group).min(sources);
         let mut out = Vec::new();
         for s in start..end {
-            out.extend(self.parent.compute_partition(s));
+            out.extend(take_rows(self.parent.compute_partition_shared(s)));
         }
-        out
+        Arc::new(out)
     }
     fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
         // Order-preserving pass-through: fusion crosses the merge.
@@ -1198,22 +1067,13 @@ impl<T: Send + Sync> Op<T> for CoalesceOp<T> {
             self.parent.push_partition(s, emit);
         }
     }
-    fn label(&self) -> String {
-        format!("Coalesce[{}]", self.target)
-    }
-    fn explain_children(&self, indent: usize, out: &mut String) {
-        explain_into(&*self.parent, indent, out);
-    }
-    fn stages(&self) -> usize {
-        self.parent.stages()
-    }
 }
 
 impl<T: Send + Sync> Lineage for CoalesceOp<T> {
     fn plan(&self) -> PlanNode {
         PlanNode {
             id: self.lineage_id(),
-            label: Op::label(self),
+            label: format!("Coalesce[{}]", self.target),
             kind: PlanKind::NarrowBarrier,
             partitions: self.target,
             est_rows: Lineage::est_rows(self),
@@ -1225,9 +1085,6 @@ impl<T: Send + Sync> Lineage for CoalesceOp<T> {
     }
     fn lineage_children(&self, visit: &mut dyn FnMut(&dyn Lineage)) {
         visit(up(&self.parent));
-    }
-    fn est_rows(&self) -> Option<u64> {
-        up(&self.parent).est_rows()
     }
 }
 
@@ -1431,7 +1288,7 @@ mod tests {
     fn auto_cache_arms_on_second_action() {
         let calls = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&calls);
-        // 10k rows × 4 bytes clears the default cost threshold; NO
+        // 10k rows × 4 bytes clears the 1 KiB cost threshold; NO
         // explicit .cache() anywhere.
         let ds = Dataset::from_vec((0..10_000).collect::<Vec<i32>>(), 4).map(move |x| {
             c.fetch_add(1, Ordering::Relaxed);
@@ -1454,7 +1311,7 @@ mod tests {
     fn auto_cache_respects_cost_threshold() {
         let calls = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&calls);
-        // 10 rows × 4 bytes is far below the 1 KiB default threshold: the
+        // 10 rows × 4 bytes is far below the 1 KiB threshold: the
         // optimizer must judge the cache not worth holding.
         let ds = Dataset::from_vec((0..10).collect::<Vec<i32>>(), 2).map(move |x| {
             c.fetch_add(1, Ordering::Relaxed);
@@ -1581,11 +1438,96 @@ mod tests {
         let ds = Dataset::from_vec(vec![1, 2, 3], 2)
             .map(|x| x)
             .filter(|_| true);
-        let plan = ds.explain();
-        assert!(plan.contains("Filter"));
-        assert!(plan.contains("Map"));
-        assert!(plan.contains("Source"));
+        assert_eq!(
+            ds.explain(),
+            "Filter\n  Map\n    Source[3 rows, 2 partitions]\n"
+        );
+
+        // One plan holding every node kind: a fused run, a partition-wise
+        // pass, a repartition, a cache, a retry, a coalesce, a union, a
+        // real shuffle and an elided one (the second `reduce_by_key`
+        // routes by the same seed and count as the first).
+        let base = Dataset::from_vec((0..1_000u64).collect::<Vec<_>>(), 4);
+        let narrow = base
+            .map(|x| x * 3)
+            .filter(|x| x % 2 == 0)
+            .flat_map(|x| vec![x, x + 1]);
+        let barriers = base
+            .map_partitions(|rows| rows)
+            .repartition(3)
+            .cache()
+            .with_retry(RetryPolicy::default())
+            .coalesce(2);
+        let ds = narrow
+            .union_with(&barriers)
+            .key_by(|x| x % 7)
+            .reduce_by_key(|a, b| a + b)
+            .reduce_by_key(|a, b| a.max(b))
+            .rows();
+        // Read before any action and after each of two: the text and the
+        // stage count never change. The predicted bytes switch from
+        // estimates to the shuffle's exact post counts once it has run,
+        // and the second action arms the auto-caches, which breaks the
+        // fused run.
+        assert_eq!(ds.explain_plans().optimized, EVERY_NODE_KIND_OPTIMIZED);
+        let reads = [
+            (1, 64_000, 32_000),
+            (1, 32_112, 32_000),
+            (0, 32_112, 32_000),
+        ];
+        for (read, (fused_runs, naive_bytes, optimized_bytes)) in reads.into_iter().enumerate() {
+            assert_eq!(ds.explain(), EVERY_NODE_KIND, "read {read}");
+            assert_eq!(ds.num_stages(), 3, "read {read}");
+            let report = ds.explain_plans();
+            assert_eq!(
+                (
+                    report.fused_runs,
+                    report.elided_shuffles,
+                    report.predicted_naive_shuffle_bytes,
+                    report.predicted_optimized_shuffle_bytes,
+                ),
+                (fused_runs, 1, naive_bytes, optimized_bytes),
+                "read {read}"
+            );
+            ds.collect();
+        }
     }
+
+    const EVERY_NODE_KIND: &str = "\
+ReduceByKey[6 partitions] ~~~ shuffle elided (co-partitioned) ~~~
+  MapPartitions
+    ReduceByKey[6 partitions] === stage boundary (shuffle) ===
+      MapPartitions
+        Map
+          Union
+            FlatMap
+              Filter
+                Map
+                  Source[1000 rows, 4 partitions]
+            Coalesce[2]
+              Retry[max 3 attempts]
+                Cache
+                  Repartition[3] === stage boundary ===
+                    MapPartitions
+                      Source[1000 rows, 4 partitions]
+";
+
+    const EVERY_NODE_KIND_OPTIMIZED: &str = "\
+ReduceByKey[6 partitions] ~~~ shuffle elided (co-partitioned) ~~~
+  MapPartitions
+    ReduceByKey[6 partitions] === stage boundary (shuffle) ===
+      MapPartitions
+        Map
+          Union
+            Fused[FlatMap <- Filter <- Map]
+              Source[1000 rows, 4 partitions]
+            Coalesce[2]
+              Retry[max 3 attempts]
+                Cache
+                  Repartition[3] === stage boundary ===
+                    MapPartitions
+                      Source[1000 rows, 4 partitions]
+";
 
     #[test]
     fn explain_plans_reports_fused_runs() {
@@ -1607,6 +1549,36 @@ mod tests {
             .map(|x| x)
             .filter(|_| true);
         assert_eq!(naive.explain_plans().fused_runs, 0);
+
+        let split_by_shuffle = Dataset::from_vec((0..100u64).collect::<Vec<_>>(), 4)
+            .map(|x| x + 1)
+            .filter(|x| x % 3 != 0)
+            .key_by(|x| x % 5)
+            .group_by_key()
+            .rows()
+            .map(|(k, vs)| k + vs.len() as u64)
+            .filter(|_| true);
+        assert_eq!(
+            split_by_shuffle.explain_plans().fused_runs,
+            2,
+            "one run per stage"
+        );
+
+        // A diamond consumes `shared` twice in one action, which arms its
+        // auto-cache; the nodes below it are walked once and stay fused.
+        let shared = Dataset::from_vec((0..1_000u64).collect::<Vec<_>>(), 4)
+            .map(|x| x + 1)
+            .map(|x| x * 2)
+            .map(|x| x ^ 1);
+        let top = shared.map(|x| x + 3).filter(|_| true);
+        assert_eq!(top.explain_plans().fused_runs, 1, "one run of five");
+        top.union_with(&shared.map(|x| x + 5)).count();
+        let report = top.explain_plans();
+        assert_eq!(report.auto_cached, 1);
+        assert_eq!(
+            report.fused_runs, 2,
+            "the armed cache splits the run in two"
+        );
     }
 
     #[test]
@@ -1712,5 +1684,17 @@ mod tests {
         assert_eq!(twice.num_stages(), 3, "two shuffle boundaries");
         // Union takes the deeper side.
         assert_eq!(base.union_with(&shuffled).num_stages(), 2);
+        // The second reduce routes like the first, so it moves nothing.
+        let elided = base
+            .key_by(|&x| x % 3)
+            .reduce_by_key(|a, b| a + b)
+            .reduce_by_key(|a, b| a.max(b))
+            .rows();
+        assert_eq!(elided.explain_plans().elided_shuffles, 1);
+        assert_eq!(
+            elided.num_stages(),
+            2,
+            "an elided shuffle is not a stage boundary"
+        );
     }
 }

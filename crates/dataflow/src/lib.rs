@@ -12,8 +12,8 @@
 //!   [`Dataset::flat_map`], [`Dataset::union_with`]) extend the lineage
 //!   without computing anything.
 //! * **Partitions** — every dataset is split into partitions, the unit of
-//!   parallelism; actions evaluate partitions concurrently on the rayon
-//!   pool.
+//!   parallelism; actions evaluate partitions concurrently on the
+//!   `peachy-par` pool.
 //! * **Stage pipelining** — chains of narrow ops fuse: one pass per
 //!   partition, no intermediate materialization.
 //! * **Wide transformations & the shuffle** — [`keyed::KeyedDataset`]
@@ -26,7 +26,9 @@
 //!   after first evaluation, cutting recomputation exactly as `RDD.cache()`
 //!   does.
 //! * **Explain** — [`Dataset::explain`] prints the lineage tree with stage
-//!   boundaries, the mental model the course builds.
+//!   boundaries, the mental model the course builds. `explain()`,
+//!   [`Dataset::num_stages`] and [`Dataset::explain_plans`] all read one
+//!   tree of [`PlanNode`]s, the single description of each lineage node.
 //! * **Task retry** — [`Dataset::with_retry`] makes partition evaluation
 //!   failure-aware: a panicking compute (flaky UDF, simulated executor
 //!   loss) is recomputed from lineage up to a [`RetryPolicy`] bound,

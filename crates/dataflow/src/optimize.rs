@@ -16,7 +16,7 @@
 //!    action (before it runs the plan's stages), counts how often each
 //!    cacheable node has been consumed, and arms an in-memory cache on
 //!    nodes consumed more than once whose
-//!    estimated recompute volume clears [`OptimizerConfig::auto_cache_min_bytes`]
+//!    estimated recompute volume is at least 1 KiB
 //!    (estimates use measured per-stage bytes where a shuffle below has
 //!    already run, `rows × size_of::<Row>()` otherwise).
 //!
@@ -35,6 +35,11 @@ use std::fmt;
 
 use crate::plan::{Lineage, PlanKind, PlanNode};
 
+/// Minimum estimated recompute volume (bytes) before a shared subtree is
+/// worth holding in memory. Below this, recomputing is assumed cheaper
+/// than the cache's footprint.
+const AUTO_CACHE_MIN_BYTES: u64 = 1024;
+
 /// Which rewrites the optimizer may apply to a dataset's plan.
 ///
 /// Carried by every `Dataset` and inherited by derived datasets; the
@@ -48,10 +53,6 @@ pub struct OptimizerConfig {
     pub elide_shuffles: bool,
     /// Arm in-memory caches on subtrees consumed by more than one action.
     pub auto_cache: bool,
-    /// Minimum estimated recompute volume (bytes) before a shared subtree
-    /// is worth holding in memory. Below this, recomputing is assumed
-    /// cheaper than the cache's footprint.
-    pub auto_cache_min_bytes: u64,
     /// Resident byte budget for every partition store the dataset builds
     /// (sources, caches, shuffle buckets, memoized posts). `None` keeps
     /// everything in RAM — exactly the pre-spill behavior.
@@ -77,7 +78,6 @@ impl Default for OptimizerConfig {
             fuse: true,
             elide_shuffles: true,
             auto_cache: true,
-            auto_cache_min_bytes: 1024,
             spill_budget: None,
             charge_spill_reads: true,
             stream_spills: true,
@@ -93,7 +93,6 @@ impl OptimizerConfig {
             fuse: false,
             elide_shuffles: false,
             auto_cache: false,
-            auto_cache_min_bytes: u64::MAX,
             spill_budget: None,
             charge_spill_reads: false,
             stream_spills: false,
@@ -126,7 +125,7 @@ fn run_stages(node: &dyn Lineage, visited: &mut HashSet<usize>) {
 /// Walks the lineage, bumps each cacheable node's lifetime consumption
 /// count (a diamond consumes its shared subtree once per path), and arms
 /// the auto-cache on nodes consumed ≥ 2 times whose estimated recompute
-/// volume clears the configured threshold. Descent into an already-visited
+/// volume clears [`AUTO_CACHE_MIN_BYTES`]. Descent into an already-visited
 /// node is skipped (counts stay linear in plan size), which undercounts
 /// *descendants* of shared nodes — conservative, and harmless: once the
 /// shared ancestor caches, its descendants recompute at most once anyway.
@@ -154,7 +153,7 @@ fn arm_walk(node: &dyn Lineage, cfg: &OptimizerConfig, visited: &mut HashSet<usi
             let worth = match node.est_cache_bytes() {
                 None => true,
                 Some(b) => {
-                    b >= cfg.auto_cache_min_bytes
+                    b >= AUTO_CACHE_MIN_BYTES
                         && !(cfg.charge_spill_reads
                             && !cfg.stream_spills
                             && cfg.spill_budget.is_some_and(|budget| b > budget))
@@ -240,7 +239,7 @@ pub(crate) fn report_for(root: &dyn Lineage) -> PlanReport {
     let mut naive = String::new();
     render(&plan, 0, false, &mut naive);
     let mut optimized = String::new();
-    render(&plan, 0, true, &mut optimized);
+    let fused_runs = render(&plan, 0, true, &mut optimized);
 
     let mut naive_bytes = 0u64;
     let mut optimized_bytes = 0u64;
@@ -303,7 +302,7 @@ pub(crate) fn report_for(root: &dyn Lineage) -> PlanReport {
         optimized,
         predicted_naive_shuffle_bytes: naive_bytes,
         predicted_optimized_shuffle_bytes: optimized_bytes,
-        fused_runs: count_fused_runs(&plan),
+        fused_runs,
         elided_shuffles: elided,
         auto_cached,
         spill_budget,
@@ -326,44 +325,12 @@ fn shuffle_cost(node: &PlanNode) -> u64 {
         .sum()
 }
 
-/// Count maximal parent→child runs of ≥ 2 fusable narrow nodes.
-fn count_fused_runs(plan: &PlanNode) -> usize {
-    fn is_fusable(node: &PlanNode) -> bool {
-        matches!(
-            node.kind,
-            PlanKind::Narrow {
-                fused: true,
-                auto_cached: false,
-                ..
-            }
-        )
-    }
-    let mut runs = 0usize;
-    let mut walk = |node: &PlanNode| {
-        // A run starts at a fusable node whose (single) child is fusable
-        // too; count it once at its top.
-        if is_fusable(node) && node.children.len() == 1 && is_fusable(&node.children[0]) {
-            runs += 1;
-        }
-        // Interior members of a run must not start a new one.
-        if is_fusable(node) {
-            if let [child] = node.children.as_slice() {
-                if is_fusable(child) && child.children.len() == 1 && is_fusable(&child.children[0])
-                {
-                    runs -= 1;
-                }
-            }
-        }
-    };
-    plan.walk(&mut walk);
-    runs
-}
-
 /// Render a plan tree. In optimized mode, runs of fusable narrow nodes
 /// collapse into one `Fused[...]` line and elided shuffles keep their
 /// elision marker; in naive mode every node prints separately and elided
-/// shuffles print as the stage boundary they would have been.
-fn render(node: &PlanNode, indent: usize, optimized: bool, out: &mut String) {
+/// shuffles print as the stage boundary they would have been. Returns how
+/// many runs of ≥ 2 narrow nodes it collapsed (none in naive mode).
+fn render(node: &PlanNode, indent: usize, optimized: bool, out: &mut String) -> usize {
     let pad = |out: &mut String, indent: usize| {
         for _ in 0..indent {
             out.push_str("  ");
@@ -394,10 +361,7 @@ fn render(node: &PlanNode, indent: usize, optimized: bool, out: &mut String) {
             out.push_str("Fused[");
             out.push_str(&labels.join(" <- "));
             out.push_str("]\n");
-            for child in &cursor.children {
-                render(child, indent + 1, optimized, out);
-            }
-            return;
+            return 1 + render_children(cursor, indent, optimized, out);
         }
     }
 
@@ -445,9 +409,14 @@ fn render(node: &PlanNode, indent: usize, optimized: bool, out: &mut String) {
         None => {}
     }
     out.push('\n');
-    for child in &node.children {
-        render(child, indent + 1, optimized, out);
-    }
+    render_children(node, indent, optimized, out)
+}
+
+fn render_children(node: &PlanNode, indent: usize, optimized: bool, out: &mut String) -> usize {
+    node.children
+        .iter()
+        .map(|child| render(child, indent + 1, optimized, out))
+        .sum()
 }
 
 /// The label this node would carry in a naive plan (elision undone).

@@ -8,6 +8,10 @@
 //! runtime pass needs — a consumption counter, an auto-cache trigger and
 //! the stage runner's map-side hook.
 //!
+//! The [`PlanNode`] tree is the only description of a node: `explain()`
+//! prints its labels, `num_stages()` counts its boundaries, and
+//! `explain_plans()` renders and prices it.
+//!
 //! Node identity is the op's allocation address. Lineage nodes live behind
 //! `Arc`s for their whole life, so the address is stable and unique while
 //! the plan exists — exactly the window in which the optimizer looks at it.
@@ -16,8 +20,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::store::Residency;
 
-/// Label fragment marking a materialized shuffle boundary (also used by
-/// `explain()`, predating the optimizer).
+/// Label fragment marking a materialized shuffle boundary.
 pub const SHUFFLE_MARK: &str = "=== stage boundary (shuffle) ===";
 
 /// Label fragment marking a shuffle the optimizer elided.
@@ -101,7 +104,7 @@ pub enum PlanKind {
 pub struct PlanNode {
     /// Node identity (the op's allocation address).
     pub id: usize,
-    /// Human-readable label, matching `explain()`.
+    /// Human-readable label: one line of `explain()`.
     pub label: String,
     /// Structural kind plus per-kind facts.
     pub kind: PlanKind,
@@ -140,6 +143,38 @@ impl PlanNode {
             child.walk(visit);
         }
     }
+
+    /// Execution stages along the deepest path ending at this node: one,
+    /// plus one per repartition or materialized shuffle on that path. An
+    /// elided shuffle moves nothing, so it is not a boundary.
+    pub(crate) fn stage_count(&self) -> usize {
+        let below = self
+            .children
+            .iter()
+            .map(PlanNode::stage_count)
+            .max()
+            .unwrap_or(1);
+        match self.kind {
+            PlanKind::Repartition | PlanKind::Shuffle { elided: false, .. } => below + 1,
+            _ => below,
+        }
+    }
+
+    /// The tree as `explain()` prints it: one label per line, indented two
+    /// spaces per level.
+    pub(crate) fn lineage_text(&self) -> String {
+        fn push(node: &PlanNode, depth: usize, out: &mut String) {
+            out.push_str(&"  ".repeat(depth));
+            out.push_str(&node.label);
+            out.push('\n');
+            for child in &node.children {
+                push(child, depth + 1, out);
+            }
+        }
+        let mut out = String::new();
+        push(self, 0, &mut out);
+        out
+    }
 }
 
 /// The type-free face of a lineage node. `Op<T>: Lineage`, so a plan
@@ -163,8 +198,18 @@ pub(crate) trait Lineage: Send + Sync {
         None
     }
 
-    /// Estimated output rows (see [`PlanNode::est_rows`]).
-    fn est_rows(&self) -> Option<u64>;
+    /// Estimated output rows (see [`PlanNode::est_rows`]). The default sums
+    /// the inputs' estimates: exact where every row passes through (maps,
+    /// caches, unions, repartitions); filters shrink and flat_maps grow,
+    /// but the input count is the best static estimate available there.
+    /// Sources and shuffles, which know their counts, override it.
+    fn est_rows(&self) -> Option<u64> {
+        let mut rows = Some(0u64);
+        self.lineage_children(&mut |child| {
+            rows = rows.zip(child.est_rows()).map(|(a, b)| a + b);
+        });
+        rows
+    }
 
     /// Estimated bytes to materialize this node once — the auto-cache cost
     /// model's input. `None` where the row type's size is unknown or the

@@ -29,7 +29,7 @@ use peachy_cluster::dist::{owner_of_key, ROUTE_SEED};
 use peachy_cluster::ByteSized;
 use peachy_par::prelude::*;
 
-use crate::dataset::{explain_into, take_rows, up, Op};
+use crate::dataset::{take_rows, up, Op};
 use crate::plan::{Lineage, PlanKind, PlanNode, ELIDED_MARK, SHUFFLE_MARK};
 use crate::store::{PartitionStore, SpillRow};
 
@@ -264,9 +264,6 @@ where
     fn partitions(&self) -> usize {
         self.partitions
     }
-    fn compute_partition(&self, idx: usize) -> Vec<T> {
-        take_rows(self.compute_partition_shared(idx))
-    }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
         self.posted.get_or_init(idx, || {
             self.route();
@@ -290,15 +287,6 @@ where
             return Box::new(cursor);
         }
         Box::new(take_rows(self.compute_partition_shared(idx)).into_iter())
-    }
-    fn label(&self) -> String {
-        format!("{}[{} partitions] {}", self.name, self.partitions, SHUFFLE_MARK)
-    }
-    fn explain_children(&self, indent: usize, out: &mut String) {
-        explain_into(&*self.parent, indent, out);
-    }
-    fn stages(&self) -> usize {
-        self.parent.stages() + 1
     }
 }
 
@@ -325,7 +313,10 @@ where
         });
         PlanNode {
             id: self.lineage_id(),
-            label: Op::label(self),
+            label: format!(
+                "{}[{} partitions] {}",
+                self.name, self.partitions, SHUFFLE_MARK
+            ),
             kind: PlanKind::Shuffle {
                 stage: self.stage_id,
                 elided: false,
@@ -391,9 +382,6 @@ where
     fn partitions(&self) -> usize {
         self.partitions
     }
-    fn compute_partition(&self, idx: usize) -> Vec<T> {
-        take_rows(self.compute_partition_shared(idx))
-    }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
         self.posted.get_or_init(idx, || {
             self.noted.get_or_init(|| {
@@ -426,18 +414,6 @@ where
         }
         Box::new(take_rows(self.compute_partition_shared(idx)).into_iter())
     }
-    fn label(&self) -> String {
-        format!("{}[{} partitions] {}", self.name, self.partitions, ELIDED_MARK)
-    }
-    fn explain_children(&self, indent: usize, out: &mut String) {
-        for parent in &self.parents {
-            explain_into(&**parent, indent, out);
-        }
-    }
-    fn stages(&self) -> usize {
-        // Not a stage boundary: nothing crosses it.
-        self.parents.iter().map(|p| p.stages()).max().unwrap_or(1)
-    }
 }
 
 impl<R, T, F> Lineage for ElidedShuffleOp<R, T, F>
@@ -450,7 +426,10 @@ where
         let est_bytes = Lineage::est_rows(self).map(|r| r * std::mem::size_of::<T>() as u64);
         PlanNode {
             id: self.lineage_id(),
-            label: Op::label(self),
+            label: format!(
+                "{}[{} partitions] {}",
+                self.name, self.partitions, ELIDED_MARK
+            ),
             kind: PlanKind::Shuffle {
                 stage: self.stage_id,
                 elided: true,
@@ -504,14 +483,15 @@ mod tests {
             posted: PartitionStore::new(partitions, Default::default()),
             _marker: std::marker::PhantomData,
         };
-        let first: Vec<Vec<(u64, u64)>> =
-            (0..partitions).map(|p| op.compute_partition(p)).collect();
+        let first: Vec<Vec<(u64, u64)>> = (0..partitions)
+            .map(|p| take_rows(op.compute_partition_shared(p)))
+            .collect();
         assert_eq!(post_calls.load(Ordering::Relaxed), partitions as u64);
         // Repeated actions reuse the memoized post output: no new calls,
         // bit-identical rows, and the shared handle is the same allocation.
         for round in 0..3 {
             for (p, expected) in first.iter().enumerate() {
-                assert_eq!(&op.compute_partition(p), expected, "round {round}");
+                assert_eq!(&*op.compute_partition_shared(p), expected, "round {round}");
                 assert!(Arc::ptr_eq(
                     &op.compute_partition_shared(p),
                     &op.compute_partition_shared(p)
@@ -544,8 +524,8 @@ mod tests {
             posted: PartitionStore::new(2, Default::default()),
             _marker: std::marker::PhantomData,
         };
-        op.compute_partition(0);
-        op.compute_partition(1);
+        op.compute_partition_shared(0);
+        op.compute_partition_shared(1);
         assert_eq!(stats.shuffles(), 1, "materialized once");
         assert_eq!(stats.records(), 32);
         // Every (u64, u64) row is 16 bytes; all 32 cross the boundary.
@@ -581,18 +561,20 @@ mod tests {
             noted: OnceLock::new(),
         };
         assert_eq!(
-            op.compute_partition(0),
+            *op.compute_partition_shared(0),
             vec![(0, 1), (0, 2), (0, 10), (0, 20)],
             "left partition rows precede right partition rows"
         );
-        assert_eq!(op.compute_partition(1), vec![(1, 3), (1, 4), (1, 30), (1, 40)]);
-        op.compute_partition(0); // memoized replay
+        assert_eq!(
+            *op.compute_partition_shared(1),
+            vec![(1, 3), (1, 4), (1, 30), (1, 40)]
+        );
+        op.compute_partition_shared(0); // memoized replay
         assert_eq!(stats.shuffles_elided(), 1, "counted once per op");
         assert_eq!(stats.shuffles(), 0);
         assert_eq!(stats.records(), 0, "nothing crossed the boundary");
         assert_eq!(stats.bytes(), 0);
-        assert_eq!(op.stages(), 1, "an elided shuffle is not a stage boundary");
-        assert!(Op::label(&op).contains("shuffle elided"));
+        assert!(op.plan().label.contains("shuffle elided"));
     }
 
     #[test]
