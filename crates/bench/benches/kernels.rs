@@ -5,11 +5,12 @@
 //! The headline comparison is the k-means assignment shape (n=50k, d=16,
 //! k=64): scalar per-pair argmin vs the lane-blocked decomposed scan
 //! (serial) vs the fused rayon batch argmin. The GEMM and k-NN scan
-//! kernels get the same flat-vs-blocked treatment on their natural shapes.
+//! kernels get the same flat-vs-blocked treatment on their natural shapes;
+//! the scan adds the packed panel layout the served k-NN index uses.
 
 use peachy::data::kernels::{
-    argmin_dist2, argmin_dist2_ref, dist2, dist2_scan, matmul_nt, matmul_nt_ref, pairwise_dist2,
-    pairwise_dist2_ref, Candidates,
+    argmin_dist2, argmin_dist2_ref, dist2, dist2_scan, dist2_scan_panels, matmul_nt, matmul_nt_ref,
+    pairwise_dist2, pairwise_dist2_ref, Candidates, Panels,
 };
 use peachy::data::synth::gaussian_blobs;
 use peachy_bench::harness::Harness;
@@ -51,7 +52,8 @@ fn bench_pairwise(c: &mut Harness) {
 }
 
 /// The k-NN hot path: streaming distances for one query over a large
-/// database, scalar pair loop vs the lane-blocked exact scan.
+/// database, scalar pair loop vs the lane-blocked exact scan on row-major
+/// rows vs the same scan on the packed panel layout.
 fn bench_scan(c: &mut Harness) {
     let db = gaussian_blobs(200_000, 16, 8, 1.0, 45).points;
     let q = gaussian_blobs(1, 16, 8, 1.0, 46).points;
@@ -71,6 +73,14 @@ fn bench_scan(c: &mut Harness) {
         b.iter(|| {
             let mut acc = 0.0;
             dist2_scan(&db, 0..db.rows(), &query, |_, d2| acc += d2);
+            acc
+        })
+    });
+    let panels = Panels::new(db);
+    group.bench_function("panels", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            dist2_scan_panels(&panels, &query, |_, d2| acc += d2);
             acc
         })
     });

@@ -1,10 +1,11 @@
 //! E1 + E11: k-NN timing — heap vs sort selection, rayon batch, MapReduce
 //! rank sweep, and the KD-tree vs brute-force crossover over dimension.
 
+use peachy::cluster::Executor;
 use peachy::data::synth::gaussian_blobs;
 use peachy::knn::{
     brute::{nearest_heap, nearest_sort},
-    classify_batch_par, classify_batch_seq, knn_mapreduce, KdTree, KnnMrConfig,
+    classify_batch_par, classify_batch_seq, knn_mapreduce, KdTree, KnnIndex, KnnMrConfig,
 };
 use peachy_bench::harness::{BenchmarkId, Harness};
 
@@ -34,7 +35,8 @@ fn bench_selection(c: &mut Harness) {
     }
 }
 
-/// E1: the full batch, sequential vs rayon vs MapReduce over ranks.
+/// E1: the full batch, sequential vs rayon vs MapReduce over ranks, plus
+/// the sequential batch on the served, panel-packed [`KnnIndex`].
 fn bench_batch(c: &mut Harness) {
     let (db, queries) = small_instance();
     let k = 15;
@@ -44,6 +46,10 @@ fn bench_batch(c: &mut Harness) {
         b.iter(|| classify_batch_seq(&db, &queries, k))
     });
     group.bench_function("rayon", |b| b.iter(|| classify_batch_par(&db, &queries, k)));
+    let index = KnnIndex::new(db.clone());
+    group.bench_function("packed_index", |b| {
+        b.iter(|| index.classify_batch_with(&queries.points, k, &Executor::seq()))
+    });
     for ranks in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("mapreduce_ranks", ranks),

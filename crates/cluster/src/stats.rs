@@ -165,8 +165,12 @@ impl CommStats {
     /// records the biggest thing that was ever held in memory at once, so
     /// charging the same materialization twice is harmless and the final
     /// value is independent of charge order (and therefore of schedule).
+    /// A charge that cannot raise the peak skips the atomic write, since
+    /// the streaming paths charge once per row.
     pub fn charge_resident(&self, bytes: u64) {
-        self.peak_resident_bytes.fetch_max(bytes, Ordering::Relaxed);
+        if bytes > self.peak_resident_bytes.load(Ordering::Relaxed) {
+            self.peak_resident_bytes.fetch_max(bytes, Ordering::Relaxed);
+        }
     }
 
     /// Attribute `records`/`bytes` to the labeled stage `stage` (in

@@ -8,12 +8,12 @@
 //! [`dist2`]). The kernels come in two numeric families with different
 //! equivalence guarantees:
 //!
-//! * **Exact family** — [`dist2`], [`dist2_scan`], [`assigned_dist2_sum`],
-//!   [`matvec`], [`matvec_t`], [`matmul_nt`]. These evaluate the textbook
-//!   sums (Σ(x−y)², Σw·x) with the *same left-to-right per-pair
-//!   accumulation order* as the naïve scalar loops, but blocked into
-//!   [`LANES`] independent accumulator chains so the CPU can overlap the
-//!   FMA latency (ILP) and the compiler can vectorize across rows.
+//! * **Exact family** — [`dist2`], [`dist2_scan`], [`dist2_scan_panels`]
+//!   over [`Panels`], [`assigned_dist2_sum`], [`matvec`], [`matvec_t`],
+//!   [`matmul_nt`]. These evaluate the textbook sums (Σ(x−y)², Σw·x) with
+//!   the *same left-to-right per-pair accumulation order* as the naïve
+//!   scalar loops, but blocked into [`LANES`] independent accumulator
+//!   chains so the CPU can overlap the add latency (ILP).
 //!   Because each pair's chain is untouched, results are **bit-identical**
 //!   to the scalar reference for every input — which is what lets the
 //!   k-NN suite keep its "all five implementations agree exactly"
@@ -30,6 +30,17 @@
 //!   step across all strategies (`seq`, `strategies`, `distributed`,
 //!   `locality` all share [`Candidates`], so their cross-strategy
 //!   bit-equality tests still hold).
+//!
+//! **Panels.** On a row-major matrix the [`LANES`] chains of
+//! [`dist2_scan`] read one coordinate of eight rows at a stride of `d`
+//! values, which no vector load can gather, so the lane loop compiles to
+//! scalar code. [`Panels`] stores each full eight-row block
+//! dimension-major instead, packed in place inside the matrix's own
+//! buffer: the eight values one coordinate step needs are adjacent, and
+//! [`dist2_scan_panels`] runs the same chains as vector loads and vector
+//! arithmetic, with the same bits. The served k-NN database is packed
+//! this way; the row-major scan stays the reference the k-NN laws and the
+//! taught algorithms use.
 //!
 //! **Tie-breaking.** All argmin kernels scan candidates in ascending index
 //! order with a strict `<` comparison, so on exactly equal keys the lowest
@@ -139,6 +150,84 @@ pub fn dist2_scan(
     }
     for j in i..range.end {
         visit(j, dist2(rows.row(j), x));
+    }
+}
+
+/// A [`Matrix`] repacked for [`dist2_scan_panels`]: each full block of
+/// [`LANES`] rows is stored dimension-major, so `panel[p * LANES + l]` is
+/// coordinate `p` of the block's row `l`, and one coordinate of all
+/// `LANES` rows is one contiguous run. The last `rows % LANES` rows stay
+/// row-major.
+///
+/// Packing is in place: the matrix's own buffer is transposed block by
+/// block through one `LANES × cols` tile, so the packed rows cost no more
+/// memory than the matrix they came from.
+pub struct Panels {
+    data: Vec<f64>,
+    rows: usize,
+    cols: usize,
+}
+
+impl Panels {
+    /// Repack `m`'s buffer in place (Θ(rows·cols)).
+    pub fn new(m: Matrix) -> Self {
+        let (mut data, rows, cols) = m.into_parts();
+        let block_len = LANES * cols;
+        let mut tile = vec![0.0; block_len];
+        for b in 0..rows / LANES {
+            let block = &mut data[b * block_len..(b + 1) * block_len];
+            tile.copy_from_slice(block);
+            for l in 0..LANES {
+                for p in 0..cols {
+                    block[p * LANES + l] = tile[l * cols + p];
+                }
+            }
+        }
+        Self { data, rows, cols }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns (dimensions).
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+}
+
+/// Visit `(i, dist2(row i, x))` for every row of `rows`, in ascending
+/// order — [`dist2_scan`] over the whole matrix, on the panel layout.
+///
+/// Each coordinate step loads one contiguous run of [`LANES`] values and
+/// updates [`LANES`] independent chains, which the compiler turns into
+/// vector loads and arithmetic; [`dist2_scan`] reads the same lanes a row
+/// apart and stays scalar. Each chain still adds its squared differences
+/// left to right from zero, so every visited value is **bit-identical**
+/// to [`dist2`] and to [`dist2_scan`].
+pub fn dist2_scan_panels(rows: &Panels, x: &[f64], mut visit: impl FnMut(usize, f64)) {
+    let d = rows.cols;
+    debug_assert_eq!(x.len(), d);
+    let full = rows.rows / LANES * LANES;
+    let (panels, tail) = rows.data.split_at(full * d);
+    for b in 0..full / LANES {
+        let panel = &panels[b * LANES * d..(b + 1) * LANES * d];
+        let mut acc = [0.0f64; LANES];
+        for (col, &xp) in panel.as_chunks::<LANES>().0.iter().zip(x) {
+            for (a, &v) in acc.iter_mut().zip(col) {
+                let diff = v - xp;
+                *a += diff * diff;
+            }
+        }
+        for (l, &a) in acc.iter().enumerate() {
+            visit(b * LANES + l, a);
+        }
+    }
+    for j in 0..rows.rows - full {
+        visit(full + j, dist2(&tail[j * d..(j + 1) * d], x));
     }
 }
 
@@ -560,6 +649,12 @@ mod tests {
                 let mut seen = Vec::new();
                 dist2_scan(&rows, 0..n, x.row(0), |i, v| seen.push((i, v)));
                 assert_eq!(seen.len(), n);
+                let mut packed = Vec::new();
+                dist2_scan_panels(&Panels::new(rows.clone()), x.row(0), |i, v| {
+                    packed.push((i, v.to_bits()))
+                });
+                let bits: Vec<(usize, u64)> = seen.iter().map(|&(i, v)| (i, v.to_bits())).collect();
+                assert_eq!(packed, bits, "panels n={n} d={d}");
                 for (i, v) in seen {
                     // Bitwise equality, not approximate.
                     assert_eq!(v, dist2(rows.row(i), x.row(0)), "n={n} d={d} i={i}");

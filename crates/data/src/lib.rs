@@ -9,7 +9,8 @@
 //!   the common currency of the k-NN (§2), k-means (§3) and ensemble (§7)
 //!   assignments.
 //! * [`kernels`] — blocked, rayon-parallel distance/GEMM kernels (pairwise
-//!   distances, fused batch argmin, matvec/matmul) shared by every
+//!   distances, fused batch argmin, matvec/matmul, the packed panel scan
+//!   the served k-NN index runs) shared by every
 //!   distance-heavy hot path in the workspace, with scalar reference
 //!   implementations kept for equivalence testing.
 //! * [`csv`] — minimal, dependency-free CSV reading/writing, standing in

@@ -104,6 +104,12 @@ impl Matrix {
         &self.data
     }
 
+    /// Hand over the backing store with its shape `(data, rows, cols)`, so
+    /// a packed layout can reuse the allocation instead of copying it.
+    pub(crate) fn into_parts(self) -> (Vec<f64>, usize, usize) {
+        (self.data, self.rows, self.cols)
+    }
+
     /// Iterate over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> + '_ {
         self.data.chunks_exact(self.cols.max(1)).take(self.rows)

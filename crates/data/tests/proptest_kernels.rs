@@ -4,8 +4,8 @@
 //! tie-break — across ragged shapes (0/1/non-multiple-of-block sizes).
 
 use peachy_data::kernels::{
-    argmin_dist2, argmin_dist2_ref, dist2, dist2_scan, dot, matmul_nt, matmul_nt_ref,
-    pairwise_dist2, pairwise_dist2_ref, Candidates, LANES,
+    argmin_dist2, argmin_dist2_ref, dist2, dist2_scan, dist2_scan_panels, dot, matmul_nt,
+    matmul_nt_ref, pairwise_dist2, pairwise_dist2_ref, Candidates, Panels, LANES,
 };
 use peachy_data::matrix::Matrix;
 use peachy_prng::cases::{check, Gen};
@@ -35,19 +35,31 @@ fn dist2_tol(x: &[f64], c: &[f64]) -> f64 {
     1e-9 * (1.0 + dot(x, x) + dot(c, c))
 }
 
-/// Exact family: the lane-blocked scan visits every index in order
-/// with values bit-identical to the scalar pair kernel.
+/// Exact family: the lane-blocked scan, and the panel scan over the same
+/// rows packed, visit every index in order with values bit-identical to
+/// the scalar pair kernel. Every case covers fewer rows than `LANES`, an
+/// exact multiple of `LANES`, a ragged count at d = 1, and a free draw.
 #[test]
 fn dist2_scan_is_bit_exact() {
     check("dist2_scan_is_bit_exact", CASES, |g| {
-        let d = g.range(0usize..20);
-        let rows = matrix(g, 0..70, d);
-        let x: Vec<f64> = (0..d).map(|_| coord(g)).collect();
-        let mut visited = Vec::new();
-        dist2_scan(&rows, 0..rows.rows(), &x, |i, v| visited.push((i, v)));
-        assert_eq!(visited.len(), rows.rows());
-        for (i, v) in visited {
-            assert_eq!(v, dist2(rows.row(i), &x), "row {i}");
+        let shapes = [
+            (g.range(0usize..LANES), g.range(0usize..20)),
+            (LANES * g.range(1usize..5), g.range(0usize..20)),
+            (LANES * g.range(1usize..5) + g.range(1usize..LANES), 1),
+            (g.range(0usize..70), g.range(0usize..20)),
+        ];
+        for (n, d) in shapes {
+            let rows = matrix(g, n..n + 1, d);
+            let x: Vec<f64> = (0..d).map(|_| coord(g)).collect();
+            let expected: Vec<(usize, u64)> = (0..n)
+                .map(|i| (i, dist2(rows.row(i), &x).to_bits()))
+                .collect();
+            let mut visited = Vec::new();
+            dist2_scan(&rows, 0..n, &x, |i, v| visited.push((i, v.to_bits())));
+            assert_eq!(visited, expected, "row-major, {n} rows, d = {d}");
+            let mut packed = Vec::new();
+            dist2_scan_panels(&Panels::new(rows), &x, |i, v| packed.push((i, v.to_bits())));
+            assert_eq!(packed, expected, "panels, {n} rows, d = {d}");
         }
     });
 }

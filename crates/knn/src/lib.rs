@@ -6,8 +6,14 @@
 //! * [`brute`] — the direct algorithm: Θ(nqd) distances, with the two
 //!   top-*k* selection strategies the assignment contrasts — full sort
 //!   (Θ(n log n) per query) vs. a bounded max-heap (Θ(n log k), the CLRS
-//!   heap trick) — plus a rayon data-parallel batch classifier (the
-//!   "shared memory programming models" adaptation).
+//!   heap trick) — plus a pool-parallel batch classifier (the "shared
+//!   memory programming models" adaptation). Its row-major scan is the
+//!   reference every other variant is tested against.
+//! * [`index`] — [`KnnIndex`], the served database: the same heap search
+//!   over rows packed once into the kernel layer's panel layout, whose
+//!   distance scan vectorizes, plus the batch classifier on any
+//!   `peachy_cluster::Executor` backend. Both serving tiers answer from it;
+//!   its answers equal [`brute`]'s bit for bit.
 //! * [`mapreduce`] — the assignment's actual task: k-NN on the
 //!   MapReduce-MPI-style engine, with map tasks computing distances over
 //!   database blocks and a reduction phase extracting nearest neighbours
@@ -29,15 +35,15 @@ pub mod brute;
 pub mod cv;
 pub mod gpu;
 pub mod heap;
+pub mod index;
 pub mod kdtree;
 pub mod mapreduce;
 pub mod metrics;
 pub mod quadtree;
 
-pub use brute::{
-    classify_batch_par, classify_batch_seq, classify_batch_with, classify_heap, classify_sort,
-};
+pub use brute::{classify_batch_par, classify_batch_seq, classify_heap, classify_sort};
 pub use heap::BoundedMaxHeap;
+pub use index::KnnIndex;
 pub use kdtree::KdTree;
 pub use mapreduce::{knn_mapreduce, KnnMrConfig};
 pub use quadtree::QuadTree;

@@ -5,7 +5,7 @@ use std::ops::Range;
 use peachy_data::matrix::{LabeledDataset, Matrix};
 use peachy_knn::{
     brute::{nearest_heap, nearest_sort},
-    knn_mapreduce, KdTree, KnnMrConfig,
+    knn_mapreduce, KdTree, KnnIndex, KnnMrConfig,
 };
 use peachy_prng::cases::{check, Gen};
 
@@ -24,13 +24,21 @@ fn dataset(g: &mut Gen, dims: Range<usize>) -> (LabeledDataset, Vec<Vec<f64>>) {
     (LabeledDataset::new(points, labels, 3), queries)
 }
 
-/// Heap selection equals sort selection for every query and k.
+/// Heap selection equals sort selection, and the packed index's heap
+/// search equals both, for every query and k. The database repeats some
+/// of its rows at higher indices, so equal distances must break by index.
 #[test]
 fn heap_equals_sort() {
     check("heap_equals_sort", CASES, |g| {
         let ((db, queries), k) = (dataset(g, 1..4), g.range(1usize..10));
+        let n = db.len();
+        let copies = g.vec(1..n, |g| g.range(0..n));
+        let db = db.select(&(0..n).chain(copies).collect::<Vec<_>>());
+        let index = KnnIndex::new(db.clone());
         for q in &queries {
-            assert_eq!(nearest_heap(&db, q, k), nearest_sort(&db, q, k));
+            let heap = nearest_heap(&db, q, k);
+            assert_eq!(heap, nearest_sort(&db, q, k));
+            assert_eq!(index.nearest(q, k), heap);
         }
     });
 }

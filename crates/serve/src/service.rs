@@ -19,7 +19,7 @@ use peachy_cluster::{ByteSized, CommStats, Executor};
 use peachy_data::kernels::Candidates;
 use peachy_data::matrix::{LabeledDataset, Matrix};
 use peachy_ensemble::nn::DenseNet;
-use peachy_knn::brute::{classify_batch_seq, classify_batch_with_stats};
+use peachy_knn::KnnIndex;
 
 use crate::shard::ShardedService;
 
@@ -86,11 +86,12 @@ impl Service for EchoService {
 /// k-NN classification as a service: each request is a query row, each
 /// answer the majority-vote class among the `k` nearest database points.
 ///
-/// Wraps [`peachy_knn::brute::classify_batch_with_stats`], so the batch
-/// is block-partitioned over the executor and per-query predictions are
+/// Answers from a [`KnnIndex`] packed once at construction, through
+/// [`KnnIndex::classify_batch_with_stats`], so the batch is
+/// block-partitioned over the executor and per-query predictions are
 /// decomposition-independent.
 pub struct KnnService {
-    db: LabeledDataset,
+    index: KnnIndex,
     k: usize,
 }
 
@@ -99,7 +100,10 @@ impl KnnService {
     pub fn new(db: LabeledDataset, k: usize) -> Self {
         assert!(!db.is_empty(), "empty database");
         assert!(k >= 1, "k must be at least 1");
-        Self { db, k }
+        Self {
+            index: KnnIndex::new(db),
+            k,
+        }
     }
 }
 
@@ -112,12 +116,8 @@ impl Service for KnnService {
     }
 
     fn run_batch(&self, inputs: &[Vec<f64>], exec: &Executor, comm: &CommStats) -> Vec<u32> {
-        let queries = LabeledDataset::new(
-            Matrix::from_rows(inputs),
-            vec![0; inputs.len()],
-            self.db.classes,
-        );
-        classify_batch_with_stats(&self.db, &queries, self.k, exec, comm)
+        self.index
+            .classify_batch_with_stats(&Matrix::from_rows(inputs), self.k, exec, comm)
     }
 }
 
@@ -190,14 +190,17 @@ impl Service for EnsembleService {
 /// One k-NN index partition: the slice of the database a shard answers
 /// from.
 pub struct KnnShard {
-    /// The shard's block of the full database.
-    pub db: LabeledDataset,
+    /// The shard's block of the full database, packed.
+    pub index: KnnIndex,
 }
 
 impl ByteSized for KnnShard {
+    /// The rows, one label per row and the class count — the size of the
+    /// block as a dataset, whatever layout the index packs it into.
     fn approx_bytes(&self) -> usize {
-        self.db.points.rows() * self.db.points.cols() * std::mem::size_of::<f64>()
-            + self.db.labels.len() * std::mem::size_of::<u32>()
+        let rows = self.index.len();
+        rows * self.index.dims() * std::mem::size_of::<f64>()
+            + rows * std::mem::size_of::<u32>()
             + std::mem::size_of::<u32>()
     }
 }
@@ -247,18 +250,15 @@ impl ShardedService for ShardedKnnService {
         let range = block_range(self.db.len(), num_shards, shard);
         let indices: Vec<usize> = range.collect();
         KnnShard {
-            db: self.db.select(&indices),
+            index: KnnIndex::new(self.db.select(&indices)),
         }
     }
 
     fn run_shard(&self, _shard: usize, state: &KnnShard, inputs: &[Self::Input]) -> Vec<u32> {
-        let rows: Vec<Vec<f64>> = inputs.iter().map(|(_, row)| row.clone()).collect();
-        let queries = LabeledDataset::new(
-            Matrix::from_rows(&rows),
-            vec![0; rows.len()],
-            state.db.classes,
-        );
-        classify_batch_seq(&state.db, &queries, self.k.min(state.db.len()))
+        inputs
+            .iter()
+            .map(|(_, row)| state.index.classify(row, self.k))
+            .collect()
     }
 }
 
@@ -421,9 +421,11 @@ mod tests {
             let mut covered = 0usize;
             for shard in 0..num_shards {
                 let part = svc.build_shard(shard, num_shards);
-                assert!(!part.db.is_empty(), "shard {shard}/{num_shards} empty");
-                assert!(part.approx_bytes() > 0);
-                covered += part.db.len();
+                let rows = part.index.len();
+                assert!(rows > 0, "shard {shard}/{num_shards} empty");
+                // Priced as the block's dataset: rows·d·8 + rows·4 + 4.
+                assert_eq!(part.approx_bytes(), rows * 4 * 8 + rows * 4 + 4);
+                covered += rows;
             }
             assert_eq!(covered, db.len(), "{num_shards} shards");
         }
