@@ -125,7 +125,9 @@ fn bench_farm_retry(c: &mut Harness) {
         let mut x = task as u64 + 1;
         let mut acc = 0u64;
         for _ in 0..20_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             acc = acc.wrapping_add(x >> 33);
         }
         acc

@@ -90,8 +90,7 @@ fn bench_shuffle_bucketing(c: &mut Harness) {
     // bucket-allocation strategy.
     group.bench_function("flat_push_and_grow", |b| {
         b.iter(|| {
-            let mut buckets: Vec<Vec<(u64, u64)>> =
-                (0..partitions).map(|_| Vec::new()).collect();
+            let mut buckets: Vec<Vec<(u64, u64)>> = (0..partitions).map(|_| Vec::new()).collect();
             for &(k, v) in &data {
                 buckets[owner_of_key(&k, partitions, ROUTE_SEED)].push((k, v));
             }

@@ -111,7 +111,11 @@ fn bench_spill(c: &mut Harness) {
     let mut group = c.benchmark_group("E20_spill");
     group.sample_size(10);
     for (label, wordcount_cfg, agg_cfg) in [
-        ("resident", OptimizerConfig::default(), OptimizerConfig::default()),
+        (
+            "resident",
+            OptimizerConfig::default(),
+            OptimizerConfig::default(),
+        ),
         ("spilled", e18::spill_cfg(1024), e18::spill_cfg(256 * 1024)),
     ] {
         group.bench_function(format!("wordcount_{label}"), |b| {

@@ -107,7 +107,9 @@ fn bench_executor_backends(c: &mut Harness) {
         ("cluster_4", Executor::cluster(4)),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| peachy::kmeans::fit_with(&data.points, &config, init.clone(), &exec).iterations)
+            b.iter(|| {
+                peachy::kmeans::fit_with(&data.points, &config, init.clone(), &exec).iterations
+            })
         });
     }
 }

@@ -13,12 +13,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use peachy::city::{arrests_per_100k, arrests_per_100k_broadcast, CityTables};
-use peachy::dataflow::{OptimizerConfig, ShuffleStats};
 use peachy::data::digits::{digit_dataset, render, render_blend, Style};
 use peachy::data::geo::{CityConfig, SyntheticCity};
 use peachy::data::iris::iris;
 use peachy::data::split::train_test_split;
 use peachy::data::synth::{gaussian_blobs, knn_paper_instance};
+use peachy::dataflow::{OptimizerConfig, ShuffleStats};
 use peachy::ensemble::{block_assignment, Ensemble, NetConfig, TrainConfig};
 use peachy::heat::{solve_coforall, solve_distributed, solve_forall, solve_serial, HeatProblem};
 use peachy::kmeans::{self, GpuLaunch, GpuStrategy, KMeansConfig, Strategy};
@@ -346,33 +346,32 @@ fn main() {
     {
         let text = e18::corpus(200_000, e18::E18_SEED);
         let iters = 5;
-        let mut run_pair = |name: &str,
-                            budget: u64,
-                            f: &dyn Fn(OptimizerConfig) -> (usize, Arc<ShuffleStats>)| {
-            let resident = e18::measure(iters, || f(OptimizerConfig::default()));
-            let spilled = e18::measure(iters, || f(e18::spill_cfg(budget)));
-            r.check(
-                &format!("{name} @ {budget} B: spills, same answer"),
-                format!(
-                    "{} part(s) / {} B spilled, {} B re-read, {:.1} → {:.1} ms",
-                    spilled.spills,
-                    spilled.spill_bytes,
-                    spilled.unspill_bytes,
-                    resident.median_ns as f64 / 1e6,
-                    spilled.median_ns as f64 / 1e6,
-                ),
-                resident.spills == 0
-                    && spilled.spills > 0
-                    && spilled.spill_bytes > 0
-                    && spilled.rows == resident.rows
-                    && spilled.records == resident.records
-                    && spilled.bytes == resident.bytes
-                    && spilled.shuffles == resident.shuffles
-                    && spilled.elided == resident.elided,
-            );
-            bench_rows.push((format!("{name}_spill.resident"), resident));
-            bench_rows.push((format!("{name}_spill.spilled"), spilled));
-        };
+        let mut run_pair =
+            |name: &str, budget: u64, f: &dyn Fn(OptimizerConfig) -> (usize, Arc<ShuffleStats>)| {
+                let resident = e18::measure(iters, || f(OptimizerConfig::default()));
+                let spilled = e18::measure(iters, || f(e18::spill_cfg(budget)));
+                r.check(
+                    &format!("{name} @ {budget} B: spills, same answer"),
+                    format!(
+                        "{} part(s) / {} B spilled, {} B re-read, {:.1} → {:.1} ms",
+                        spilled.spills,
+                        spilled.spill_bytes,
+                        spilled.unspill_bytes,
+                        resident.median_ns as f64 / 1e6,
+                        spilled.median_ns as f64 / 1e6,
+                    ),
+                    resident.spills == 0
+                        && spilled.spills > 0
+                        && spilled.spill_bytes > 0
+                        && spilled.rows == resident.rows
+                        && spilled.records == resident.records
+                        && spilled.bytes == resident.bytes
+                        && spilled.shuffles == resident.shuffles
+                        && spilled.elided == resident.elided,
+                );
+                bench_rows.push((format!("{name}_spill.resident"), resident));
+                bench_rows.push((format!("{name}_spill.spilled"), spilled));
+            };
         run_pair("wordcount", 1024, &|cfg| {
             let (rows, stats) = e18::wordcount(&text, 8, cfg);
             (rows.len(), stats)
@@ -402,7 +401,9 @@ fn main() {
             for _ in 0..iters {
                 let runner = Runner::from_str(&text).expect("committed spec parses");
                 let t = Instant::now();
-                let report = runner.run(&RunOptions::default()).expect("committed spec runs");
+                let report = runner
+                    .run(&RunOptions::default())
+                    .expect("committed spec runs");
                 times.push(t.elapsed().as_nanos() as u64);
                 last = Some(report);
             }
@@ -472,7 +473,9 @@ fn main() {
         // bucket while the streaming cursor's stays at the posted groups.
         let iters = 5;
         let n = 16_000;
-        let resident = e18::measure(iters, || e18::skewed_group(n, 8, OptimizerConfig::default()));
+        let resident = e18::measure(iters, || {
+            e18::skewed_group(n, 8, OptimizerConfig::default())
+        });
         r.check(
             "skewed group @ ∞: resident reference",
             format!(

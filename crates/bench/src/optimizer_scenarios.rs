@@ -112,9 +112,30 @@ pub fn skewed_group(
 /// per line.
 pub fn corpus(words: usize, seed: u64) -> String {
     const VOCAB: [&str; 24] = [
-        "peach", "parallel", "assignment", "shuffle", "partition", "lineage", "cluster", "reduce",
-        "combine", "broadcast", "join", "cache", "stage", "narrow", "wide", "fuse", "elide",
-        "plan", "cost", "bytes", "rank", "chunk", "worker", "task",
+        "peach",
+        "parallel",
+        "assignment",
+        "shuffle",
+        "partition",
+        "lineage",
+        "cluster",
+        "reduce",
+        "combine",
+        "broadcast",
+        "join",
+        "cache",
+        "stage",
+        "narrow",
+        "wide",
+        "fuse",
+        "elide",
+        "plan",
+        "cost",
+        "bytes",
+        "rank",
+        "chunk",
+        "worker",
+        "task",
     ];
     let mut rng = Lcg64::seed_from(seed);
     let mut text = String::with_capacity(words * 8);
@@ -219,7 +240,9 @@ mod tests {
 
     #[test]
     fn measure_reports_counters_of_a_fresh_run() {
-        let m = measure(3, || chained_aggregation(10_000, 4, OptimizerConfig::default()));
+        let m = measure(3, || {
+            chained_aggregation(10_000, 4, OptimizerConfig::default())
+        });
         assert!(m.rows > 0);
         assert!(m.shuffles >= 1);
         assert!(m.elided >= 1);

@@ -129,10 +129,20 @@ impl Comm {
         };
         let bytes = value.approx_bytes() as u64;
         for &(round, dst) in rest {
-            self.send_keyed(dst, Self::coll_key(seq, round), Box::new(value.clone()), bytes);
+            self.send_keyed(
+                dst,
+                Self::coll_key(seq, round),
+                Box::new(value.clone()),
+                bytes,
+            );
         }
         let keep = value.clone();
-        self.send_keyed(last_dst, Self::coll_key(seq, last_round), Box::new(value), bytes);
+        self.send_keyed(
+            last_dst,
+            Self::coll_key(seq, last_round),
+            Box::new(value),
+            bytes,
+        );
         keep
     }
 
@@ -430,7 +440,11 @@ impl Comm {
 
     /// Gather: every rank contributes one value; the root receives all of
     /// them in rank order (`Some(vec)` at root, `None` elsewhere).
-    pub fn gather<T: Send + ByteSized + 'static>(&mut self, root: usize, value: T) -> Option<Vec<T>> {
+    pub fn gather<T: Send + ByteSized + 'static>(
+        &mut self,
+        root: usize,
+        value: T,
+    ) -> Option<Vec<T>> {
         let n = self.size();
         assert!(root < n, "gather root {root} out of range");
         let seq = self.next_seq();
@@ -544,7 +558,12 @@ impl Comm {
         };
         if rank + 1 < n {
             let bytes = acc.approx_bytes() as u64;
-            self.send_keyed(rank + 1, Self::coll_key(seq, 0), Box::new(acc.clone()), bytes);
+            self.send_keyed(
+                rank + 1,
+                Self::coll_key(seq, 0),
+                Box::new(acc.clone()),
+                bytes,
+            );
         }
         acc
     }

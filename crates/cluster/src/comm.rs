@@ -179,9 +179,9 @@ impl Comm {
         timeout: Duration,
     ) -> Result<(usize, T), RecvError> {
         let deadline = Instant::now() + timeout;
-        let env = self
-            .mailbox
-            .recv_match_result(ANY_SOURCE, MatchKey::User(tag), Some(deadline))?;
+        let env =
+            self.mailbox
+                .recv_match_result(ANY_SOURCE, MatchKey::User(tag), Some(deadline))?;
         let src = env.src;
         Ok((src, Self::downcast(env.payload, src, tag)))
     }

@@ -524,7 +524,10 @@ mod tests {
                 let dist = Block::new(n, parts);
                 for i in 0..n {
                     let p = dist.owner_of(i);
-                    assert!(dist.local_range(p).contains(&i), "n={n} parts={parts} i={i}");
+                    assert!(
+                        dist.local_range(p).contains(&i),
+                        "n={n} parts={parts} i={i}"
+                    );
                 }
             }
         }

@@ -209,10 +209,7 @@ impl Executor {
                     rest = tail;
                 }
                 match self {
-                    Executor::Seq => windows
-                        .into_iter()
-                        .map(|(p, r, w)| f(p, r, w))
-                        .collect(),
+                    Executor::Seq => windows.into_iter().map(|(p, r, w)| f(p, r, w)).collect(),
                     // Indexed parallel collect preserves part order: the
                     // in-order merge is structural, not a race winner.
                     _ => windows
@@ -236,8 +233,9 @@ impl Executor {
                             + (parts * std::mem::size_of::<A>()) as u64,
                     );
                 }
-                let chunks: Vec<Vec<T>> =
-                    (0..parts).map(|p| data[dist.range_of(p)].to_vec()).collect();
+                let chunks: Vec<Vec<T>> = (0..parts)
+                    .map(|p| data[dist.range_of(p)].to_vec())
+                    .collect();
                 // The root *takes* the chunk set instead of cloning it into
                 // the scatter: the closure runs once per rank, and only the
                 // root reaches for the payload, so the second full copy of
@@ -368,12 +366,11 @@ mod tests {
             let seq = Executor::seq().map_parts_mut(&dist, &mut seq_data, sum_kernel);
 
             let mut ray_data = vec![0u64; n];
-            let ray =
-                Executor::rayon(parts).map_parts_mut(&dist, &mut ray_data, sum_kernel);
+            let ray = Executor::rayon(parts).map_parts_mut(&dist, &mut ray_data, sum_kernel);
 
             let mut clu_data = vec![0u64; n];
-            let clu = Executor::cluster(dist.parts())
-                .map_parts_mut(&dist, &mut clu_data, sum_kernel);
+            let clu =
+                Executor::cluster(dist.parts()).map_parts_mut(&dist, &mut clu_data, sum_kernel);
 
             assert_eq!(seq, ray, "parts={parts}");
             assert_eq!(seq, clu, "parts={parts}");

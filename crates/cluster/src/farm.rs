@@ -82,7 +82,12 @@ where
     }
 }
 
-fn run_manager<T, F>(comm: &mut Comm, n_tasks: usize, policy: &RetryPolicy, work: F) -> FarmOutcome<T>
+fn run_manager<T, F>(
+    comm: &mut Comm,
+    n_tasks: usize,
+    policy: &RetryPolicy,
+    work: F,
+) -> FarmOutcome<T>
 where
     T: Send + ByteSized + 'static,
     F: Fn(usize) -> T,
@@ -171,7 +176,8 @@ where
         for w in comm.dead_peers() {
             to_dismiss.remove(&w);
         }
-        if let Ok((w, _late_report)) = comm.recv_any_timeout::<Option<(usize, T)>>(TAG_REQUEST, POLL)
+        if let Ok((w, _late_report)) =
+            comm.recv_any_timeout::<Option<(usize, T)>>(TAG_REQUEST, POLL)
         {
             if to_dismiss.remove(&w) {
                 comm.send(w, TAG_ASSIGN, DONE);
@@ -242,7 +248,10 @@ mod tests {
         assert_eq!(outcome.results, expected);
         assert_eq!(outcome.reassigned, 0);
         assert_eq!(outcome.executed.iter().sum::<usize>(), n);
-        assert_eq!(outcome.executed[0], 0, "manager computes nothing when workers live");
+        assert_eq!(
+            outcome.executed[0], 0,
+            "manager computes nothing when workers live"
+        );
     }
 
     #[test]
@@ -301,11 +310,11 @@ mod tests {
                 .clone()
                 .expect("manager reports");
             assert_eq!(outcome.results, expected, "seed {seed}: bit-identical");
-            assert!(outcome.reassigned >= 1, "seed {seed}: dead worker's task reassigned");
-            assert_eq!(
-                results[2].as_ref().unwrap_err().kind,
-                RankErrorKind::Killed
+            assert!(
+                outcome.reassigned >= 1,
+                "seed {seed}: dead worker's task reassigned"
             );
+            assert_eq!(results[2].as_ref().unwrap_err().kind, RankErrorKind::Killed);
             for rank in [1, 3] {
                 assert!(results[rank].is_ok(), "seed {seed}: rank {rank} survives");
             }

@@ -197,7 +197,8 @@ impl TickBackoff {
         if self.jitter == 0 {
             return linear;
         }
-        let draw = SplitMix64::mix(mix_seed(self.seed) ^ (attempt as u64).wrapping_mul(0x9e37_79b9));
+        let draw =
+            SplitMix64::mix(mix_seed(self.seed) ^ (attempt as u64).wrapping_mul(0x9e37_79b9));
         linear + draw % self.jitter
     }
 }
@@ -377,9 +378,8 @@ impl FaultPlan {
                     .or(self.default_edge)
                     .unwrap_or_default();
                 // One independent, well-mixed stream per directed edge.
-                let stream_seed = SplitMix64::mix(
-                    mix_seed(self.seed) ^ ((rank as u64) << 32) ^ dst as u64,
-                );
+                let stream_seed =
+                    SplitMix64::mix(mix_seed(self.seed) ^ ((rank as u64) << 32) ^ dst as u64);
                 EdgeState {
                     fault,
                     rng: Lcg64::seed_from(stream_seed),
@@ -561,7 +561,10 @@ mod tests {
     fn empty_plan_reports_empty() {
         assert!(FaultPlan::none().is_empty());
         assert!(!FaultPlan::new(3).kill(0, 5).is_empty());
-        assert_eq!(FaultPlan::new(3).kill(4, 0).kill(1, 0).doomed_ranks(), vec![1, 4]);
+        assert_eq!(
+            FaultPlan::new(3).kill(4, 0).kill(1, 0).doomed_ranks(),
+            vec![1, 4]
+        );
     }
 
     #[test]
@@ -577,7 +580,9 @@ mod tests {
         // The transport still kills the revived rank within this run.
         let mut st = plan.state_for(4, 6);
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| st.on_send(0)));
-        assert!(died.expect_err("kill fires despite revival").is::<KilledByPlan>());
+        assert!(died
+            .expect_err("kill fires despite revival")
+            .is::<KilledByPlan>());
     }
 
     #[test]
@@ -596,7 +601,9 @@ mod tests {
         // Same seed → same edge fates (probed from an undoomed rank).
         let fates = |p: &FaultPlan| {
             let mut st = p.state_for(1, 3);
-            (0..32).map(|i| st.on_send(2 * (i % 2)).drop).collect::<Vec<_>>()
+            (0..32)
+                .map(|i| st.on_send(2 * (i % 2)).drop)
+                .collect::<Vec<_>>()
         };
         assert_eq!(fates(&stripped), fates(&plan.clone().with_seed(9)));
         assert_ne!(fates(&stripped), fates(&stripped.clone().with_seed(10)));

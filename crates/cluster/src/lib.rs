@@ -354,10 +354,7 @@ mod tests {
             comm.rank()
         });
         assert_eq!(results[0], Ok(0));
-        assert_eq!(
-            results[1].as_ref().unwrap_err().kind,
-            RankErrorKind::Killed
-        );
+        assert_eq!(results[1].as_ref().unwrap_err().kind, RankErrorKind::Killed);
     }
 
     #[test]

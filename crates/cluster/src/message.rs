@@ -342,9 +342,7 @@ impl Mailbox {
         if src == ANY_SRC {
             return self.peek_any(key);
         }
-        self.parked
-            .get(&(src, key))
-            .is_some_and(|q| !q.is_empty())
+        self.parked.get(&(src, key)).is_some_and(|q| !q.is_empty())
     }
 
     /// Number of parked (arrived but unmatched) messages, including
@@ -658,7 +656,9 @@ mod tests {
         let (_tx, rx) = channel::<Envelope>();
         let mut mb = Mailbox::new(rx);
         let deadline = Instant::now() + Duration::from_millis(20);
-        let err = mb.recv_match_result(0, MatchKey::User(1), Some(deadline)).err();
+        let err = mb
+            .recv_match_result(0, MatchKey::User(1), Some(deadline))
+            .err();
         assert_eq!(err, Some(RecvError::Timeout));
     }
 
@@ -718,7 +718,11 @@ mod tests {
         assert_eq!(1.5f64.approx_bytes(), 8);
         assert_eq!(().approx_bytes(), 0);
         assert_eq!("hello".approx_bytes(), 5);
-        assert_eq!(String::from("hé").approx_bytes(), 3, "UTF-8 bytes, not chars");
+        assert_eq!(
+            String::from("hé").approx_bytes(),
+            3,
+            "UTF-8 bytes, not chars"
+        );
         assert_eq!(vec![1.0f64; 4].approx_bytes(), 32);
         assert_eq!(vec![vec![1u32; 3]; 2].approx_bytes(), 24, "nested sums");
         assert_eq!(("tag", 7usize).approx_bytes(), 3 + 8);

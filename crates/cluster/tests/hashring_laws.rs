@@ -85,7 +85,10 @@ fn growth_moves_about_one_nth_and_beats_mod_hash() {
                 "seed {seed} n {n}: ring moved {ring_moved} of {KEYS} keys \
                  (expected ≈{expected})"
             );
-            assert!(ring_moved > 0, "seed {seed} n {n}: the new member got nothing");
+            assert!(
+                ring_moved > 0,
+                "seed {seed} n {n}: the new member got nothing"
+            );
 
             // The mod-hash strawman reshuffles ≈ n/(n+1) of the keys — n×
             // the ring's share. Requiring a 1.5× margin keeps the law sharp

@@ -130,11 +130,7 @@ impl<T> AutoCache<T> {
 
 impl<T: SpillRow> AutoCache<T> {
     /// Serve partition `idx` through the cache (must be armed).
-    pub(crate) fn get_or_init(
-        &self,
-        idx: usize,
-        compute: impl FnOnce() -> Vec<T>,
-    ) -> Arc<Vec<T>> {
+    pub(crate) fn get_or_init(&self, idx: usize, compute: impl FnOnce() -> Vec<T>) -> Arc<Vec<T>> {
         self.store.get_or_init(idx, || Arc::new(compute()))
     }
 
@@ -239,7 +235,8 @@ where
         let mut out = Vec::new();
         if self.fuse {
             let mut emit = |t: T| out.push(t);
-            self.parent.push_partition(idx, &mut |u| (self.f)(u, &mut emit));
+            self.parent
+                .push_partition(idx, &mut |u| (self.f)(u, &mut emit));
         } else {
             let input = take_rows(self.parent.compute_partition_shared(idx));
             out.reserve(input.len());
@@ -283,7 +280,8 @@ where
             return;
         }
         if self.fuse {
-            self.parent.push_partition(idx, &mut |u| (self.f)(u, &mut *emit));
+            self.parent
+                .push_partition(idx, &mut |u| (self.f)(u, &mut *emit));
         } else {
             for row in self.compute_raw(idx) {
                 emit(row);
@@ -362,9 +360,7 @@ where
     }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<U>> {
         if self.auto.armed() {
-            return self
-                .auto
-                .get_or_init(idx, || (self.f)(&*self.parent, idx));
+            return self.auto.get_or_init(idx, || (self.f)(&*self.parent, idx));
         }
         Arc::new((self.f)(&*self.parent, idx))
     }
@@ -972,7 +968,11 @@ impl<T: Clone + Send + Sync + SpillRow + 'static> Dataset<T> {
         self.prepare();
         let parts: Vec<Option<T>> = (0..self.op.partitions())
             .into_par_iter()
-            .map(|i| take_rows(self.op.compute_partition_shared(i)).into_iter().reduce(&f))
+            .map(|i| {
+                take_rows(self.op.compute_partition_shared(i))
+                    .into_iter()
+                    .reduce(&f)
+            })
             .collect();
         parts.into_iter().flatten().reduce(&f)
     }
@@ -1401,7 +1401,11 @@ mod tests {
         ds.count();
         assert_eq!(clones.load(Ordering::Relaxed), 0, "count clones nothing");
         assert_eq!(ds.take(4).len(), 4);
-        assert_eq!(clones.load(Ordering::Relaxed), 4, "take clones its prefix only");
+        assert_eq!(
+            clones.load(Ordering::Relaxed),
+            4,
+            "take clones its prefix only"
+        );
         let all = ds.collect();
         assert_eq!(all.len(), 10);
         assert_eq!(
@@ -1610,7 +1614,11 @@ ReduceByKey[6 partitions] ~~~ shuffle elided (co-partitioned) ~~~
             })
             .with_retry(RetryPolicy::default());
         assert_eq!(ds.collect(), (0..40).collect::<Vec<_>>());
-        assert_eq!(failed_once.lock().unwrap().len(), 4, "every partition failed once");
+        assert_eq!(
+            failed_once.lock().unwrap().len(),
+            4,
+            "every partition failed once"
+        );
     }
 
     #[test]

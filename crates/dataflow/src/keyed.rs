@@ -928,7 +928,10 @@ mod tests {
         };
         let (optimized, shuffles, elided) = run(OptimizerConfig::default());
         let (naive, naive_shuffles, naive_elided) = run(OptimizerConfig::naive());
-        assert_eq!(optimized, naive, "co-partitioned join must match shuffled join");
+        assert_eq!(
+            optimized, naive,
+            "co-partitioned join must match shuffled join"
+        );
         assert_eq!(
             (shuffles, elided),
             (2, 1),
@@ -1008,11 +1011,9 @@ mod tests {
         // Simulate writing shuffled output and reloading it: the reloaded
         // dataset's layout is hash-keyed, but the type system forgot. The
         // claim restores the knowledge and the re-aggregation elides.
-        let rows: Vec<(String, u64)> = (0..200)
-            .map(|i| (format!("key{}", i % 12), 1u64))
-            .collect();
-        let first = KeyedDataset::from_dataset(Dataset::from_vec(rows, 4))
-            .reduce_by_key(|a, b| a + b);
+        let rows: Vec<(String, u64)> = (0..200).map(|i| (format!("key{}", i % 12), 1u64)).collect();
+        let first =
+            KeyedDataset::from_dataset(Dataset::from_vec(rows, 4)).reduce_by_key(|a, b| a + b);
         let stats = ShuffleStats::new();
         let claimed = KeyedDataset::from_dataset(first.rows())
             .with_stats(Arc::clone(&stats))
@@ -1021,7 +1022,10 @@ mod tests {
         a.sort();
         let mut b = first.collect();
         b.sort();
-        assert_eq!(a, b, "per-key totals already final: elided re-reduce is identity");
+        assert_eq!(
+            a, b,
+            "per-key totals already final: elided re-reduce is identity"
+        );
         assert_eq!(stats.shuffles(), 0);
         assert_eq!(stats.shuffles_elided(), 1);
     }

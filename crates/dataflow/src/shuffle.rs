@@ -610,8 +610,7 @@ mod tests {
     }
 
     /// `partition_of(&k, 8)` for `k in 0..16`.
-    const PINNED_U64_BUCKETS: [usize; 16] =
-        [0, 6, 1, 4, 5, 3, 3, 2, 6, 1, 2, 5, 2, 1, 4, 2];
+    const PINNED_U64_BUCKETS: [usize; 16] = [0, 6, 1, 4, 5, 3, 3, 2, 6, 1, 2, 5, 2, 1, 4, 2];
     /// `partition_of(w, 4)` for the NATO words above.
     const PINNED_STR_BUCKETS: [usize; 6] = [1, 0, 2, 0, 3, 0];
 }

@@ -578,12 +578,8 @@ impl<T: SpillRow> PartitionStore<T> {
     /// Fill slot `idx` by streaming `rows` straight to disk — the rows are
     /// never concatenated in RAM (shuffle buckets encode directly from the
     /// per-input buckets).
-    pub fn fill_spilled<'a>(
-        &self,
-        idx: usize,
-        row_count: usize,
-        rows: impl Iterator<Item = &'a T>,
-    ) where
+    pub fn fill_spilled<'a>(&self, idx: usize, row_count: usize, rows: impl Iterator<Item = &'a T>)
+    where
         T: 'a,
     {
         let slot = self.spill(idx, row_count, rows);
@@ -996,7 +992,9 @@ mod tests {
                 row.spill_encode(&mut buf);
             }
             let mut reader = SpillReader::new(&buf);
-            let decoded: Vec<T> = (0..rows.len()).map(|_| T::spill_decode(&mut reader)).collect();
+            let decoded: Vec<T> = (0..rows.len())
+                .map(|_| T::spill_decode(&mut reader))
+                .collect();
             assert_eq!(decoded, rows);
             assert_eq!(reader.remaining(), 0);
         }
@@ -1027,7 +1025,10 @@ mod tests {
         let store: PartitionStore<u64> = PartitionStore::new(2, mem_cfg());
         let first = store.get_or_init(0, || Arc::new(vec![1, 2, 3]));
         let second = store.get_or_init(0, || unreachable!("filled once"));
-        assert!(Arc::ptr_eq(&first, &second), "mem mode hands out the same Arc");
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "mem mode hands out the same Arc"
+        );
         assert!(store.spill_dir().is_none(), "no budget, no directory");
         assert_eq!(store.part_len(0), Some(3));
         assert!(!store.is_filled(1));
@@ -1046,7 +1047,10 @@ mod tests {
         // Later loads decode the file into a fresh allocation.
         let replay = store.load(1).unwrap();
         assert_eq!(*replay, vec![3, 4, 5]);
-        assert!(!Arc::ptr_eq(&big, &replay), "spilled reads are fresh decodes");
+        assert!(
+            !Arc::ptr_eq(&big, &replay),
+            "spilled reads are fresh decodes"
+        );
         // The resident partition still shares its Arc.
         assert!(Arc::ptr_eq(&small, &store.load(0).unwrap()));
     }
@@ -1068,7 +1072,9 @@ mod tests {
 
     #[test]
     fn prefilled_store_roundtrips_spilled_parts() {
-        let parts: Vec<Vec<u64>> = (0..4).map(|p| (0..8).map(|i| p * 100 + i).collect()).collect();
+        let parts: Vec<Vec<u64>> = (0..4)
+            .map(|p| (0..8).map(|i| p * 100 + i).collect())
+            .collect();
         let store = PartitionStore::prefilled(parts.clone(), spill_cfg(100));
         // 64 B per part: part 0 fits, part 1 fits (128 > 100 → no, 64+64=128 > 100), …
         assert_eq!(store.spilled_parts(), 3, "one resident, three spilled");
@@ -1115,7 +1121,10 @@ mod tests {
         assert_eq!(store.residency(Some(10)), None, "no budget → no residency");
 
         let store: PartitionStore<u64> = PartitionStore::new(2, spill_cfg(64));
-        assert_eq!(store.residency(Some(10)), Some(Residency::Mem { budget: 64 }));
+        assert_eq!(
+            store.residency(Some(10)),
+            Some(Residency::Mem { budget: 64 })
+        );
         assert_eq!(
             store.residency(Some(100)),
             Some(Residency::Spill {
@@ -1126,8 +1135,11 @@ mod tests {
             })
         );
         store.get_or_init(0, || Arc::new(vec![1u64; 32]));
-        let Some(Residency::Spill { spilled_parts, spilled_bytes, .. }) =
-            store.residency(None)
+        let Some(Residency::Spill {
+            spilled_parts,
+            spilled_bytes,
+            ..
+        }) = store.residency(None)
         else {
             panic!("spilled store must report Spill");
         };
@@ -1140,13 +1152,25 @@ mod tests {
         let store: PartitionStore<u64> = PartitionStore::new(1, stream_cfg(8));
         store.get_or_init(0, || Arc::new(vec![1, 2, 3]));
         assert!(
-            matches!(store.residency(None), Some(Residency::Stream { spilled_parts: 1, .. })),
+            matches!(
+                store.residency(None),
+                Some(Residency::Stream {
+                    spilled_parts: 1,
+                    ..
+                })
+            ),
             "a streaming store reports Stream residency"
         );
         let store: PartitionStore<u64> = PartitionStore::new(1, spill_cfg(8));
         store.get_or_init(0, || Arc::new(vec![1, 2, 3]));
         assert!(
-            matches!(store.residency(None), Some(Residency::Spill { spilled_parts: 1, .. })),
+            matches!(
+                store.residency(None),
+                Some(Residency::Spill {
+                    spilled_parts: 1,
+                    ..
+                })
+            ),
             "a rebuild-on-access store reports Spill residency"
         );
     }

@@ -51,13 +51,7 @@ fn build(seed: u64, cfg: OptimizerConfig) -> (Dataset<(u64, u64)>, bool) {
                 let m = 2 + rng.next_u64() % 5;
                 ds.filter(move |x| x % m != 0)
             }
-            2 => ds.flat_map(|x| {
-                if x % 2 == 0 {
-                    vec![x, x / 2]
-                } else {
-                    vec![x]
-                }
-            }),
+            2 => ds.flat_map(|x| if x % 2 == 0 { vec![x, x / 2] } else { vec![x] }),
             3 => ds.union_with(&ds.map(|x| x ^ 0xFF)),
             4 => ds.cache(),
             5 => {
@@ -80,7 +74,9 @@ fn build(seed: u64, cfg: OptimizerConfig) -> (Dataset<(u64, u64)>, bool) {
         keyed = match rng.next_u64() % 5 {
             0 => keyed.count_by_key(),
             1 => keyed.reduce_by_key(|a, b| a.wrapping_add(b)),
-            2 => keyed.reduce_by_key(|a, b| a.min(b)).map_values(|v| v.rotate_left(7)),
+            2 => keyed
+                .reduce_by_key(|a, b| a.min(b))
+                .map_values(|v| v.rotate_left(7)),
             3 => keyed.group_by_key().map_values(|vs| vs.len() as u64),
             _ => {
                 // Diamond: the same subtree feeds both join sides, so this
@@ -196,11 +192,12 @@ fn repartition_between_aggregations_blocks_elision() {
     let rows: Vec<(u64, u64)> = (0..400).map(|i| (i % 13, 1)).collect();
     let run = |cfg: OptimizerConfig| {
         let stats = ShuffleStats::new();
-        let first = KeyedDataset::from_dataset(Dataset::from_vec(rows.clone(), 4).with_optimizer(cfg))
-            .with_stats(Arc::clone(&stats))
-            .count_by_key();
-        let rebalanced = KeyedDataset::from_dataset(first.rows().repartition(6))
-            .with_stats(Arc::clone(&stats));
+        let first =
+            KeyedDataset::from_dataset(Dataset::from_vec(rows.clone(), 4).with_optimizer(cfg))
+                .with_stats(Arc::clone(&stats))
+                .count_by_key();
+        let rebalanced =
+            KeyedDataset::from_dataset(first.rows().repartition(6)).with_stats(Arc::clone(&stats));
         let out = canon(rebalanced.reduce_by_key(|a, b| a + b).collect());
         (out, stats.shuffles(), stats.shuffles_elided())
     };

@@ -63,13 +63,7 @@ fn build(seed: u64, cfg: OptimizerConfig) -> (Dataset<(u64, u64)>, bool, Arc<Shu
                 let m = 2 + rng.next_u64() % 5;
                 ds.filter(move |x| x % m != 0)
             }
-            2 => ds.flat_map(|x| {
-                if x % 2 == 0 {
-                    vec![x, x / 2]
-                } else {
-                    vec![x]
-                }
-            }),
+            2 => ds.flat_map(|x| if x % 2 == 0 { vec![x, x / 2] } else { vec![x] }),
             3 => ds.union_with(&ds.map(|x| x ^ 0xFF)),
             4 => ds.cache(),
             5 => {
@@ -93,7 +87,9 @@ fn build(seed: u64, cfg: OptimizerConfig) -> (Dataset<(u64, u64)>, bool, Arc<Shu
         keyed = match rng.next_u64() % 5 {
             0 => keyed.count_by_key(),
             1 => keyed.reduce_by_key(|a, b| a.wrapping_add(b)),
-            2 => keyed.reduce_by_key(|a, b| a.min(b)).map_values(|v| v.rotate_left(7)),
+            2 => keyed
+                .reduce_by_key(|a, b| a.min(b))
+                .map_values(|v| v.rotate_left(7)),
             3 => keyed.group_by_key().map_values(|vs| vs.len() as u64),
             _ => {
                 let other = keyed.count_by_key();
@@ -173,7 +169,11 @@ fn budgets_hold_on_every_executor() {
                 let (ds, _, _) = build(seed, cfg_with(budget));
                 let got = ds.collect_with(&exec);
                 if wide {
-                    assert_eq!(canon(got), reference, "seed {seed} at {budget:?} on {exec:?}");
+                    assert_eq!(
+                        canon(got),
+                        reference,
+                        "seed {seed} at {budget:?} on {exec:?}"
+                    );
                 } else {
                     assert_eq!(
                         got,
@@ -204,9 +204,17 @@ fn budgets_hold_under_benign_chaos() {
             let (ds, _, _) = build(seed, cfg_with(budget));
             let got = ds.collect_with(&chaotic);
             if wide {
-                assert_eq!(canon(got), reference, "seed {seed} at {budget:?} under chaos");
+                assert_eq!(
+                    canon(got),
+                    reference,
+                    "seed {seed} at {budget:?} under chaos"
+                );
             } else {
-                assert_eq!(got, ref_ds.collect(), "seed {seed} at {budget:?} under chaos");
+                assert_eq!(
+                    got,
+                    ref_ds.collect(),
+                    "seed {seed} at {budget:?} under chaos"
+                );
             }
         }
     }

@@ -196,7 +196,10 @@ fn static_str_decodes_intern_to_the_same_pointers() {
         assert_eq!(got, want);
     }
     // Duplicate strings within one partition share an interned entry...
-    assert!(std::ptr::eq(first[0], first[3]), "duplicate rows must intern");
+    assert!(
+        std::ptr::eq(first[0], first[3]),
+        "duplicate rows must intern"
+    );
     assert!(std::ptr::eq(first[1], first[4]));
     // ...and 1000 replays of the whole partition mint nothing new.
     for _ in 0..1000 {

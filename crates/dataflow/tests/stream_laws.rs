@@ -70,13 +70,7 @@ fn build(seed: u64, cfg: OptimizerConfig) -> (Dataset<(u64, u64)>, bool, Arc<Shu
                 let m = 2 + rng.next_u64() % 5;
                 ds.filter(move |x| x % m != 0)
             }
-            2 => ds.flat_map(|x| {
-                if x % 2 == 0 {
-                    vec![x, x / 2]
-                } else {
-                    vec![x]
-                }
-            }),
+            2 => ds.flat_map(|x| if x % 2 == 0 { vec![x, x / 2] } else { vec![x] }),
             3 => ds.union_with(&ds.map(|x| x ^ 0xFF)),
             4 => ds.cache(),
             5 => {
@@ -100,7 +94,9 @@ fn build(seed: u64, cfg: OptimizerConfig) -> (Dataset<(u64, u64)>, bool, Arc<Shu
         keyed = match rng.next_u64() % 5 {
             0 => keyed.count_by_key(),
             1 => keyed.reduce_by_key(|a, b| a.wrapping_add(b)),
-            2 => keyed.reduce_by_key(|a, b| a.min(b)).map_values(|v| v.rotate_left(7)),
+            2 => keyed
+                .reduce_by_key(|a, b| a.min(b))
+                .map_values(|v| v.rotate_left(7)),
             3 => keyed.group_by_key().map_values(|vs| vs.len() as u64),
             _ => {
                 let other = keyed.count_by_key();
@@ -257,8 +253,8 @@ fn streaming_peak_is_strictly_below_rebuild_on_a_skewed_group() {
     let run = |stream: bool| {
         let stats = ShuffleStats::new();
         let rows: Vec<u64> = (0..16_000).collect();
-        let ds = Dataset::from_vec_with(rows, 8, cfg(Some(1024), stream))
-            .with_stats(Arc::clone(&stats));
+        let ds =
+            Dataset::from_vec_with(rows, 8, cfg(Some(1024), stream)).with_stats(Arc::clone(&stats));
         let grouped = ds
             .key_by(|_| 0u64)
             .with_stats(Arc::clone(&stats))

@@ -42,10 +42,10 @@ pub mod problem;
 pub mod serial;
 
 pub use coforall::solve_coforall;
+pub use distributed::solve_distributed;
+pub use forall::solve_forall;
 /// The Chapel-style balanced block distribution, now shared workspace-wide.
 /// Re-exported under its historical heat-crate name.
 pub use peachy_cluster::dist::Block as BlockDist;
-pub use distributed::solve_distributed;
-pub use forall::solve_forall;
 pub use problem::{HeatProblem, InitialCondition};
 pub use serial::solve_serial;

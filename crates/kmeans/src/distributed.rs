@@ -41,13 +41,12 @@ pub fn fit_distributed(
     init: Matrix,
     ranks: usize,
 ) -> KMeansResult {
-    fit_on_cluster(points, config, &init, ranks, &FaultPlan::none(), None).unwrap_or_else(|errors| {
-        let primary = errors
-            .iter()
-            .find(|e| e.is_primary())
-            .unwrap_or(&errors[0]);
-        panic!("{primary}");
-    })
+    fit_on_cluster(points, config, &init, ranks, &FaultPlan::none(), None).unwrap_or_else(
+        |errors| {
+            let primary = errors.iter().find(|e| e.is_primary()).unwrap_or(&errors[0]);
+            panic!("{primary}");
+        },
+    )
 }
 
 /// One supervised SPMD attempt under a chaos plan: `Ok` only if every

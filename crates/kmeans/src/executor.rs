@@ -60,10 +60,7 @@ fn fit_with_opt_stats(
         }
         Executor::Cluster { ranks, plan } => {
             fit_on_cluster(points, config, &init, *ranks, plan, stats).unwrap_or_else(|errors| {
-                let primary = errors
-                    .iter()
-                    .find(|e| e.is_primary())
-                    .unwrap_or(&errors[0]);
+                let primary = errors.iter().find(|e| e.is_primary()).unwrap_or(&errors[0]);
                 panic!("{primary}");
             })
         }

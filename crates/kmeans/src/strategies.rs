@@ -444,8 +444,16 @@ mod tests {
         assert_eq!(new_stats.changes, old_stats.changes);
         assert_eq!(new_stats.counts, old_stats.counts);
         assert_eq!(
-            new_stats.sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            old_stats.sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            new_stats
+                .sums
+                .iter()
+                .map(|s| s.to_bits())
+                .collect::<Vec<_>>(),
+            old_stats
+                .sums
+                .iter()
+                .map(|s| s.to_bits())
+                .collect::<Vec<_>>(),
             "partial-sum grouping must be preserved bit for bit"
         );
     }

@@ -117,9 +117,16 @@ mod tests {
     }
 
     fn reference_table(n_tasks: usize) -> Vec<(usize, u64)> {
-        map_reduce_resilient(1, &FaultPlan::none(), &RetryPolicy::default(), n_tasks, emit_mod7, sum)
-            .expect("serial run cannot fail")
-            .table
+        map_reduce_resilient(
+            1,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
+            n_tasks,
+            emit_mod7,
+            sum,
+        )
+        .expect("serial run cannot fail")
+        .table
     }
 
     #[test]
@@ -171,16 +178,12 @@ mod tests {
                 }
                 emit_mod7(task, emit);
             };
-            let out = map_reduce_resilient(
-                4,
-                &plan,
-                &RetryPolicy::default(),
-                40,
-                gated_map,
-                sum,
-            )
-            .expect("manager survives");
-            assert_eq!(out.table, expected, "seed {seed}: bit-identical to fault-free");
+            let out = map_reduce_resilient(4, &plan, &RetryPolicy::default(), 40, gated_map, sum)
+                .expect("manager survives");
+            assert_eq!(
+                out.table, expected,
+                "seed {seed}: bit-identical to fault-free"
+            );
             assert_eq!(out.failed_ranks, vec![2], "seed {seed}");
             assert!(out.reassigned >= 1, "seed {seed}");
         }
@@ -195,9 +198,8 @@ mod tests {
             delay: Duration::from_micros(20),
             ..EdgeFault::none()
         });
-        let out =
-            map_reduce_resilient(3, &plan, &RetryPolicy::default(), 30, emit_mod7, sum)
-                .expect("no kills scheduled");
+        let out = map_reduce_resilient(3, &plan, &RetryPolicy::default(), 30, emit_mod7, sum)
+            .expect("no kills scheduled");
         assert_eq!(out.table, expected);
         assert!(out.failed_ranks.is_empty());
     }

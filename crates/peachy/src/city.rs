@@ -312,7 +312,13 @@ pub fn hotspot_growth(
     historic_years: u32,
     partitions: usize,
 ) -> Vec<(String, u64, f64)> {
-    hotspot_growth_with(tables, historic_years, partitions, OptimizerConfig::default()).0
+    hotspot_growth_with(
+        tables,
+        historic_years,
+        partitions,
+        OptimizerConfig::default(),
+    )
+    .0
 }
 
 /// [`hotspot_growth`] under an explicit [`OptimizerConfig`], with shuffle

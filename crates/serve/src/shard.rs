@@ -677,10 +677,8 @@ impl<S: ShardedService> Shards<S> {
                 if alive.is_empty() {
                     return Vec::new();
                 }
-                let dist = peachy_cluster::EvenBlocks::new(
-                    alive.len(),
-                    exec.parts_for(alive.len()),
-                );
+                let dist =
+                    peachy_cluster::EvenBlocks::new(alive.len(), exec.parts_for(alive.len()));
                 let service = &self.service;
                 let states = &self.states;
                 exec.map_parts_counted(&dist, self.stats.comm(), |_, range| {
@@ -788,8 +786,7 @@ impl<S: ShardedService> Shards<S> {
             }
         }
         if !dying.is_empty() && m > 1 {
-            let dying_slots: BTreeSet<usize> =
-                dying.iter().map(|r| rank_to_slot[r]).collect();
+            let dying_slots: BTreeSet<usize> = dying.iter().map(|r| rank_to_slot[r]).collect();
             assert_eq!(
                 detected_union, dying_slots,
                 "survivors must detect exactly the scheduled deaths"
@@ -844,8 +841,10 @@ impl<S: ShardedService> Shards<S> {
         }
 
         for &shard in &rebuilt {
-            self.states
-                .insert(shard, Arc::new(self.service.build_shard(shard, self.cfg.num_shards)));
+            self.states.insert(
+                shard,
+                Arc::new(self.service.build_shard(shard, self.cfg.num_shards)),
+            );
         }
         let bytes: u64 = transfers
             .iter()
@@ -867,7 +866,12 @@ impl<S: ShardedService> Shards<S> {
             let jobs: Vec<(usize, usize, u32, Shared<S::State>)> = transfers
                 .iter()
                 .map(|&(src, dst, s)| {
-                    (slot_of[&src], slot_of[&dst], s as u32, Arc::clone(&self.states[&s]))
+                    (
+                        slot_of[&src],
+                        slot_of[&dst],
+                        s as u32,
+                        Arc::clone(&self.states[&s]),
+                    )
                 })
                 .collect();
             let comm_stats = Arc::clone(self.stats.comm());

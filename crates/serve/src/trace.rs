@@ -19,7 +19,10 @@ use peachy_prng::{mix_seed, Bernoulli, Lcg64, RandomStream, UniformU64};
 /// with success probability `rate / trials`, so bursts above and lulls
 /// below the mean both occur, reproducibly from `seed`.
 pub fn open_loop_arrivals(seed: u64, ticks: u64, rate: f64) -> Vec<u64> {
-    assert!(rate >= 0.0 && rate.is_finite(), "rate must be finite and ≥ 0");
+    assert!(
+        rate >= 0.0 && rate.is_finite(),
+        "rate must be finite and ≥ 0"
+    );
     let trials = ((rate * 4.0).ceil() as u64).max(1);
     let p = (rate / trials as f64).min(1.0);
     let bern = Bernoulli::new(p);

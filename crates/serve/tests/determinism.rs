@@ -68,7 +68,10 @@ where
         let (out, rep) = run(exec);
         assert_eq!(out, seq_out, "responses differ on {label}");
         let seq_log: &Vec<BatchRecord> = &seq_rep.batch_log;
-        assert_eq!(&rep.batch_log, seq_log, "batch boundaries differ on {label}");
+        assert_eq!(
+            &rep.batch_log, seq_log,
+            "batch boundaries differ on {label}"
+        );
         assert_eq!(
             ledger_fingerprint(&rep),
             ledger_fingerprint(&seq_rep),

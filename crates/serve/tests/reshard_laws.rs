@@ -148,7 +148,10 @@ fn scripted_elasticity_is_bit_identical_across_backends() {
             let label = format!("{exec:?}");
             let run = run_elastic(seed, exec, scripted_cfg(seed));
             assert_eq!(run.responses, reference.responses, "{label}, seed {seed}");
-            assert_eq!(run.reshard_log, reference.reshard_log, "{label}, seed {seed}");
+            assert_eq!(
+                run.reshard_log, reference.reshard_log,
+                "{label}, seed {seed}"
+            );
             assert_eq!(run.batch_log, reference.batch_log, "{label}, seed {seed}");
             assert_eq!(run.final_map, reference.final_map, "{label}, seed {seed}");
             assert_eq!(run.latency_counts, reference.latency_counts, "{label}");

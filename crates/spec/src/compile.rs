@@ -198,7 +198,10 @@ pub(crate) fn compile(spec: &ScenarioSpec) -> Result<Compiled, SpecError> {
                 Node::Keyed { .. } => Err(SpecError::at(
                     st.line,
                     &section,
-                    format!("op `{op}` needs a rows input, but `{}` is keyed (unkey it first)", st.input),
+                    format!(
+                        "op `{op}` needs a rows input, but `{}` is keyed (unkey it first)",
+                        st.input
+                    ),
                 )),
             }
         };
@@ -208,7 +211,9 @@ pub(crate) fn compile(spec: &ScenarioSpec) -> Result<Compiled, SpecError> {
                 Node::Rows { .. } => Err(SpecError::at(
                     st.line,
                     &section,
-                    format!("op `{op}` needs a keyed input, but `{name}` is rows (key_by it first)"),
+                    format!(
+                        "op `{op}` needs a keyed input, but `{name}` is rows (key_by it first)"
+                    ),
                 )),
             }
         };
@@ -270,7 +275,8 @@ pub(crate) fn compile(spec: &ScenarioSpec) -> Result<Compiled, SpecError> {
                                 b.type_name()
                             ),
                         };
-                        locate(&ntas, Point { x, y }).map(|idx| vec![Value::Str(ntas[idx].code.clone())])
+                        locate(&ntas, Point { x, y })
+                            .map(|idx| vec![Value::Str(ntas[idx].code.clone())])
                     }),
                     schema: vec!["code".to_string()],
                 }
@@ -310,7 +316,8 @@ pub(crate) fn compile(spec: &ScenarioSpec) -> Result<Compiled, SpecError> {
                     .map(|c| col_idx(schema, c, *line, &section))
                     .collect::<Result<_, _>>()?;
                 Node::Rows {
-                    ds: ds.map(move |row: Row| idxs.iter().map(|&i| row[i].clone()).collect::<Row>()),
+                    ds: ds
+                        .map(move |row: Row| idxs.iter().map(|&i| row[i].clone()).collect::<Row>()),
                     schema: cols.clone(),
                 }
             }
@@ -413,9 +420,8 @@ pub(crate) fn compile(spec: &ScenarioSpec) -> Result<Compiled, SpecError> {
                     lds.join(rds)
                 };
                 Node::Keyed {
-                    ds: joined.map_values(|(a, b): (Row, Row)| {
-                        a.into_iter().chain(b).collect::<Row>()
-                    }),
+                    ds: joined
+                        .map_values(|(a, b): (Row, Row)| a.into_iter().chain(b).collect::<Row>()),
                     key_name: lkey.clone(),
                     vschema: lvs.iter().chain(rvs.iter()).cloned().collect(),
                 }
@@ -527,8 +533,13 @@ mod tests {
         );
         let (rows, schema) = run_rows(&text, "g");
         assert_eq!(schema, vec!["k", "group"]);
-        let a = rows.iter().find(|r| r[0] == Value::Str("a".into())).unwrap();
-        let Value::List(groups) = &a[1] else { panic!("expected list") };
+        let a = rows
+            .iter()
+            .find(|r| r[0] == Value::Str("a".into()))
+            .unwrap();
+        let Value::List(groups) = &a[1] else {
+            panic!("expected list")
+        };
         assert_eq!(groups.len(), 2);
     }
 }

@@ -150,7 +150,9 @@ fn lex(src: &str, line: usize, section: &str) -> Result<Vec<Tok>, SpecError> {
             }
             '0'..='9' => {
                 let start = i;
-                while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.' || chars[i] == '_') {
+                while i < chars.len()
+                    && (chars[i].is_ascii_digit() || chars[i] == '.' || chars[i] == '_')
+                {
                     i += 1;
                 }
                 let text: String = chars[start..i].iter().filter(|&&c| c != '_').collect();
@@ -410,7 +412,9 @@ impl Expr {
                             Value::Bool(false) => Value::Bool(false),
                             Value::Bool(true) => match rhs.eval(row) {
                                 Value::Bool(b) => Value::Bool(b),
-                                v => panic!("spec expression: && needs bools, got {}", v.type_name()),
+                                v => {
+                                    panic!("spec expression: && needs bools, got {}", v.type_name())
+                                }
                             },
                             v => panic!("spec expression: && needs bools, got {}", v.type_name()),
                         }
@@ -420,7 +424,9 @@ impl Expr {
                             Value::Bool(true) => Value::Bool(true),
                             Value::Bool(false) => match rhs.eval(row) {
                                 Value::Bool(b) => Value::Bool(b),
-                                v => panic!("spec expression: || needs bools, got {}", v.type_name()),
+                                v => {
+                                    panic!("spec expression: || needs bools, got {}", v.type_name())
+                                }
                             },
                             v => panic!("spec expression: || needs bools, got {}", v.type_name()),
                         }
@@ -461,8 +467,12 @@ fn eval_bin(op: BinOp, a: Value, b: Value) -> Value {
                 Add => x.wrapping_add(y),
                 Sub => x.wrapping_sub(y),
                 Mul => x.wrapping_mul(y),
-                Div => x.checked_div(y).unwrap_or_else(|| panic!("spec expression: integer division by zero")),
-                _ => x.checked_rem(y).unwrap_or_else(|| panic!("spec expression: integer modulo by zero")),
+                Div => x
+                    .checked_div(y)
+                    .unwrap_or_else(|| panic!("spec expression: integer division by zero")),
+                _ => x
+                    .checked_rem(y)
+                    .unwrap_or_else(|| panic!("spec expression: integer modulo by zero")),
             }),
             (Str(x), Str(y)) if op == Add => Str(x + &y),
             (a, b) => {
@@ -549,24 +559,32 @@ mod tests {
     fn comparisons_and_logic() {
         let row = [Value::Int(2021), Value::Str("fraud".into())];
         assert_eq!(
-            eval("year == 2021 && offense != \"theft\"", &["year", "offense"], &row),
+            eval(
+                "year == 2021 && offense != \"theft\"",
+                &["year", "offense"],
+                &row
+            ),
             Value::Bool(true)
         );
-        assert_eq!(eval("year < 2000 || year >= 2021", &["year", "offense"], &row), Value::Bool(true));
-        assert_eq!(eval("!(year == 2021)", &["year", "offense"], &row), Value::Bool(false));
+        assert_eq!(
+            eval("year < 2000 || year >= 2021", &["year", "offense"], &row),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            eval("!(year == 2021)", &["year", "offense"], &row),
+            Value::Bool(false)
+        );
     }
 
     #[test]
     fn string_concat_and_compare() {
-        assert_eq!(
-            eval("\"a\" + \"b\" < \"ac\"", &[], &[]),
-            Value::Bool(true)
-        );
+        assert_eq!(eval("\"a\" + \"b\" < \"ac\"", &[], &[]), Value::Bool(true));
     }
 
     #[test]
     fn unknown_column_hints_nearest() {
-        let err = parse_expr("yaer == 2021", &schema(&["year", "offense"]), 7, "stage.f").unwrap_err();
+        let err =
+            parse_expr("yaer == 2021", &schema(&["year", "offense"]), 7, "stage.f").unwrap_err();
         assert_eq!(err.line, 7);
         assert_eq!(err.section, "stage.f");
         assert_eq!(err.hint.as_deref(), Some("year"));

@@ -360,7 +360,10 @@ mod tests {
         assert_eq!(doc.sections[0].name, "scenario");
         let src = &doc.sections[1];
         assert_eq!(src.name, "source.rows");
-        assert_eq!(src.get("text").unwrap().value, RawValue::Str("a b\nc".into()));
+        assert_eq!(
+            src.get("text").unwrap().value,
+            RawValue::Str("a b\nc".into())
+        );
         assert_eq!(src.get("n").unwrap().value, RawValue::Int(42));
         assert_eq!(src.get("frac").unwrap().value, RawValue::Float(0.5));
         assert_eq!(src.get("flag").unwrap().value, RawValue::Bool(true));
@@ -396,7 +399,10 @@ mod tests {
 
     #[test]
     fn nearest_finds_plausible_typos_only() {
-        assert_eq!(nearest("partions", &["partitions", "optimizer"]), Some("partitions"));
+        assert_eq!(
+            nearest("partions", &["partitions", "optimizer"]),
+            Some("partitions")
+        );
         assert_eq!(nearest("ky", &["key", "kind"]), Some("key"));
         assert_eq!(nearest("zzzzz", &["key", "kind"]), None);
     }

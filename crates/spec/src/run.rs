@@ -263,7 +263,11 @@ impl Runner {
     // -- pipelines ---------------------------------------------------------
 
     fn run_pipeline(&self, opts: &RunOptions) -> Result<ScenarioReport, SpecError> {
-        let sink = self.spec.sink.as_ref().expect("validated: sink xor service");
+        let sink = self
+            .spec
+            .sink
+            .as_ref()
+            .expect("validated: sink xor service");
         // Transport chaos rides a cluster backend; kills don't apply to a
         // one-shot collect, so only the transport half of the plan is used.
         let exec = match (&opts.executor, self.fault_plan(opts)) {
@@ -330,7 +334,11 @@ impl Runner {
         let rendered = report.render_rows();
         if std::env::var_os("PEACHY_SPEC_BLESS").is_some() {
             return std::fs::write(&path, rendered).map_err(|e| {
-                SpecError::at(sink.line, "sink", format!("cannot bless `{}`: {e}", path.display()))
+                SpecError::at(
+                    sink.line,
+                    "sink",
+                    format!("cannot bless `{}`: {e}", path.display()),
+                )
             });
         }
         let expected = std::fs::read_to_string(&path).map_err(|e| {
@@ -356,10 +364,16 @@ impl Runner {
 
     // -- services ----------------------------------------------------------
 
-    fn run_service(&self, svc: &ServiceSpec, opts: &RunOptions) -> Result<ScenarioReport, SpecError> {
+    fn run_service(
+        &self,
+        svc: &ServiceSpec,
+        opts: &RunOptions,
+    ) -> Result<ScenarioReport, SpecError> {
         // The service's data, and (for test_split traces) the held-out rows.
         let (data, test): (LabeledDataset, Option<LabeledDataset>) = match &svc.data {
-            DataSpec::Iris { split: Some((frac, seed)) } => {
+            DataSpec::Iris {
+                split: Some((frac, seed)),
+            } => {
                 let tt = train_test_split(&iris(), *frac, *seed);
                 (tt.train, Some(tt.test))
             }
@@ -370,11 +384,16 @@ impl Runner {
         let trace: Vec<(u64, Vec<f64>)> = match &svc.trace {
             TraceSpec::TestSplit => {
                 let test = test.as_ref().expect("validated: test_split implies split");
-                (0..test.len()).map(|i| (0, test.points.row(i).to_vec())).collect()
+                (0..test.len())
+                    .map(|i| (0, test.points.row(i).to_vec()))
+                    .collect()
             }
-            TraceSpec::Queries { pool, seed, ticks, rate } => {
-                query_trace(*seed, *ticks, *rate, &make_blobs(pool).points)
-            }
+            TraceSpec::Queries {
+                pool,
+                seed,
+                ticks,
+                rate,
+            } => query_trace(*seed, *ticks, *rate, &make_blobs(pool).points),
             // Keyed traces are built inside the sharded path below.
             TraceSpec::KeyedQueries { .. } => Vec::new(),
         };
@@ -416,7 +435,11 @@ impl Runner {
                 let responses = server.run_trace(trace);
                 (responses, server.shutdown().stats)
             }
-            ServiceKind::Ensemble { hidden, epochs, train_seed } => {
+            ServiceKind::Ensemble {
+                hidden,
+                epochs,
+                train_seed,
+            } => {
                 let config = NetConfig {
                     layers: vec![data.dims(), *hidden, data.classes as usize],
                 };
@@ -427,16 +450,19 @@ impl Runner {
                 };
                 let mut net = DenseNet::new(&config, *train_seed);
                 net.train(&data, &tc);
-                let server = Server::start(
-                    EnsembleService::new(net),
-                    opts.executor.clone(),
-                    serve_cfg,
-                );
+                let server =
+                    Server::start(EnsembleService::new(net), opts.executor.clone(), serve_cfg);
                 let responses = server.run_trace(trace);
                 (responses, server.shutdown().stats)
             }
             ServiceKind::KnnSharded => {
-                let TraceSpec::KeyedQueries { pool, seed, ticks, rate } = &svc.trace else {
+                let TraceSpec::KeyedQueries {
+                    pool,
+                    seed,
+                    ticks,
+                    rate,
+                } = &svc.trace
+                else {
                     unreachable!("validated: knn_sharded implies keyed_queries");
                 };
                 let keyed = keyed_query_trace(*seed, *ticks, *rate, &make_blobs(pool).points);
@@ -517,7 +543,10 @@ fn sort_rows(rows: &mut [Row], columns: &[String], sink: &SinkSpec) -> Result<()
             SpecError::at(
                 *line,
                 "sink",
-                format!("sort column `{col}` is not in the output (columns: {})", known.join(", ")),
+                format!(
+                    "sort column `{col}` is not in the output (columns: {})",
+                    known.join(", ")
+                ),
             )
             .with_hint_from(col, &known)
         })?;
@@ -551,8 +580,12 @@ fn first_difference(expected: &str, got: &str) -> String {
     loop {
         match (e.next(), g.next()) {
             (Some(a), Some(b)) if a == b => line += 1,
-            (Some(a), Some(b)) => return format!("first difference at line {line}: `{a}` vs `{b}`"),
-            (Some(a), None) => return format!("output ends early at line {line} (golden has `{a}`)"),
+            (Some(a), Some(b)) => {
+                return format!("first difference at line {line}: `{a}` vs `{b}`")
+            }
+            (Some(a), None) => {
+                return format!("output ends early at line {line} (golden has `{a}`)")
+            }
             (None, Some(b)) => return format!("output has extra line {line}: `{b}`"),
             (None, None) => return "identical?".to_string(),
         }
@@ -570,7 +603,10 @@ mod tests {
 [source.rows]\nkind = inline\ncolumns = \"k, v\"\nrow = \"a, 1\"\nrow = \"a, 2\"\nrow = \"b, 5\"\n\
 [stage.sums]\ninput = rows\nop = sum\nkey = k\ncol = v\n\
 [sink]\nfrom = sums\nsort = \"k\"\n";
-        let report = Runner::from_str(text).unwrap().run(&RunOptions::default()).unwrap();
+        let report = Runner::from_str(text)
+            .unwrap()
+            .run(&RunOptions::default())
+            .unwrap();
         assert_eq!(report.columns, vec!["k", "v"]);
         assert_eq!(
             report.rows,
@@ -588,14 +624,20 @@ mod tests {
 [scenario]\nname = t\n\
 [source.rows]\nkind = inline\ncolumns = \"n\"\nrow = \"3\"\nrow = \"1\"\nrow = \"2\"\n\
 [sink]\nfrom = rows\nkind = count\n";
-        let report = Runner::from_str(text).unwrap().run(&RunOptions::default()).unwrap();
+        let report = Runner::from_str(text)
+            .unwrap()
+            .run(&RunOptions::default())
+            .unwrap();
         assert_eq!(report.rows, vec![vec![Value::Int(3)]]);
 
         let text = "\
 [scenario]\nname = t\n\
 [source.rows]\nkind = inline\ncolumns = \"n\"\nrow = \"3\"\nrow = \"1\"\nrow = \"2\"\n\
 [sink]\nfrom = rows\nsort = \"n desc\"\nlimit = 2\n";
-        let report = Runner::from_str(text).unwrap().run(&RunOptions::default()).unwrap();
+        let report = Runner::from_str(text)
+            .unwrap()
+            .run(&RunOptions::default())
+            .unwrap();
         assert_eq!(report.rows, vec![vec![Value::Int(3)], vec![Value::Int(2)]]);
     }
 
@@ -622,7 +664,10 @@ mod tests {
 [source.rows]\nkind = inline\ncolumns = \"k\"\nrow = \"a\"\nrow = \"b\"\nrow = \"a\"\n\
 [stage.counts]\ninput = rows\nop = count\nkey = k\n\
 [sink]\nfrom = counts\nsort = \"k\"\n";
-        let report = Runner::from_str(text).unwrap().run(&RunOptions::default()).unwrap();
+        let report = Runner::from_str(text)
+            .unwrap()
+            .run(&RunOptions::default())
+            .unwrap();
         let explain = report.explain.expect("explain requested");
         assert!(explain.contains("naive plan"), "{explain}");
         assert!(explain.contains("optimized plan"), "{explain}");
@@ -635,7 +680,10 @@ mod tests {
 [service]\nkind = knn\nk = 5\ndata = iris\nsplit = 0.7\nsplit_seed = 2023\n\
 [serve]\ncapacity = 64\nmax_batch_size = 8\nmax_wait = 3\n\
 [trace]\nkind = test_split\n";
-        let report = Runner::from_str(text).unwrap().run(&RunOptions::default()).unwrap();
+        let report = Runner::from_str(text)
+            .unwrap()
+            .run(&RunOptions::default())
+            .unwrap();
         let serve = report.serve.expect("service report");
         assert_eq!(serve.completed as usize, report.rows.len());
         assert!(report.rows.iter().all(|r| matches!(r[1], Value::Int(_))));

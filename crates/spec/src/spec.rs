@@ -411,12 +411,13 @@ pub struct FaultSpec {
 impl FaultSpec {
     /// Build the full plan (transport faults + kills + revivals).
     pub fn plan(&self) -> peachy_cluster::FaultPlan {
-        let mut plan = peachy_cluster::FaultPlan::new(self.seed).all_edges(peachy_cluster::EdgeFault {
-            drop_p: self.drop_p,
-            dup_p: self.dup_p,
-            reorder_p: self.reorder_p,
-            delay: std::time::Duration::from_millis(self.delay_ms),
-        });
+        let mut plan =
+            peachy_cluster::FaultPlan::new(self.seed).all_edges(peachy_cluster::EdgeFault {
+                drop_p: self.drop_p,
+                dup_p: self.dup_p,
+                reorder_p: self.reorder_p,
+                delay: std::time::Duration::from_millis(self.delay_ms),
+            });
         for &(rank, after) in &self.kills {
             plan = plan.kill(rank, after);
         }
@@ -449,7 +450,9 @@ fn unknown_key(sec: &RawSection, e: &RawEntry, known: &[&str]) -> SpecError {
 fn check_keys(sec: &RawSection, known: &[&str], prefixes: &[&str]) -> Result<(), SpecError> {
     for e in &sec.entries {
         let ok = known.contains(&e.key.as_str())
-            || prefixes.iter().any(|p| e.key.starts_with(p) && e.key.len() > p.len());
+            || prefixes
+                .iter()
+                .any(|p| e.key.starts_with(p) && e.key.len() > p.len());
         if !ok {
             return Err(unknown_key(sec, e, known));
         }
@@ -461,7 +464,12 @@ fn type_err(sec: &RawSection, e: &RawEntry, want: &str) -> SpecError {
     SpecError::at(
         e.line,
         &sec.name,
-        format!("`{}` must be {want}, got {} ({:?})", e.key, e.value.type_name(), e.value),
+        format!(
+            "`{}` must be {want}, got {} ({:?})",
+            e.key,
+            e.value.type_name(),
+            e.value
+        ),
     )
 }
 
@@ -530,14 +538,21 @@ fn name_list(sec: &RawSection, e: &RawEntry) -> Result<Vec<String>, SpecError> {
         .filter(|s| !s.is_empty())
         .collect();
     if names.is_empty() {
-        return Err(SpecError::at(e.line, &sec.name, format!("`{}` names no columns", e.key)));
+        return Err(SpecError::at(
+            e.line,
+            &sec.name,
+            format!("`{}` names no columns", e.key),
+        ));
     }
     for n in &names {
         if !n.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
             return Err(SpecError::at(
                 e.line,
                 &sec.name,
-                format!("bad column name `{n}` in `{}` (letters, digits, `_`)", e.key),
+                format!(
+                    "bad column name `{n}` in `{}` (letters, digits, `_`)",
+                    e.key
+                ),
             ));
         }
     }
@@ -555,7 +570,10 @@ fn rank_at(sec: &RawSection, e: &RawEntry) -> Result<(usize, u64), SpecError> {
         SpecError::at(
             e.line,
             &sec.name,
-            format!("`{}` must look like \"2 @ 3\" (rank @ after-events), got `{raw}`", e.key),
+            format!(
+                "`{}` must look like \"2 @ 3\" (rank @ after-events), got `{raw}`",
+                e.key
+            ),
         )
     })
 }
@@ -565,7 +583,9 @@ fn scale_event(sec: &RawSection, e: &RawEntry) -> Result<(u64, ScaleEvent), Spec
     let raw = as_str(sec, e)?;
     let bad = |msg: String| SpecError::at(e.line, &sec.name, msg);
     let Some((ev, tick)) = raw.split_once('@') else {
-        return Err(bad(format!("`event` must look like \"add 4 @ 6\", got `{raw}`")));
+        return Err(bad(format!(
+            "`event` must look like \"add 4 @ 6\", got `{raw}`"
+        )));
     };
     let tick: u64 = tick
         .trim()
@@ -644,8 +664,16 @@ fn blob_params(sec: &RawSection, prefix: &str) -> Result<BlobParams, SpecError> 
 }
 
 const CITY_KEYS: &[&str] = &[
-    "kind", "grid_w", "grid_h", "arrests", "dirty_frac", "hotspots", "current_year",
-    "historic_years", "seed", "table",
+    "kind",
+    "grid_w",
+    "grid_h",
+    "arrests",
+    "dirty_frac",
+    "hotspots",
+    "current_year",
+    "historic_years",
+    "seed",
+    "table",
 ];
 
 fn source_decl(sec: &RawSection, name: &str) -> Result<SourceDecl, SpecError> {
@@ -664,13 +692,21 @@ fn source_decl(sec: &RawSection, name: &str) -> Result<SourceDecl, SpecError> {
                     return Err(SpecError::at(
                         e.line,
                         &sec.name,
-                        format!("row has {} cells, schema has {} columns", cells.len(), columns.len()),
+                        format!(
+                            "row has {} cells, schema has {} columns",
+                            cells.len(),
+                            columns.len()
+                        ),
                     ));
                 }
                 rows.push(cells);
             }
             if rows.is_empty() {
-                return Err(SpecError::at(sec.line, &sec.name, "inline source has no `row` entries"));
+                return Err(SpecError::at(
+                    sec.line,
+                    &sec.name,
+                    "inline source has no `row` entries",
+                ));
             }
             SourceKind::Inline { columns, rows }
         }
@@ -707,7 +743,11 @@ fn source_decl(sec: &RawSection, name: &str) -> Result<SourceDecl, SpecError> {
             }
         }
         "blobs" => {
-            check_keys(sec, &["kind", "n", "dims", "classes", "spread", "seed"], &[])?;
+            check_keys(
+                sec,
+                &["kind", "n", "dims", "classes", "spread", "seed"],
+                &[],
+            )?;
             SourceKind::Blobs(blob_params(sec, "")?)
         }
         "iris" => {
@@ -718,7 +758,10 @@ fn source_decl(sec: &RawSection, name: &str) -> Result<SourceDecl, SpecError> {
             return Err(SpecError::at(
                 kind_entry.line,
                 &sec.name,
-                format!("unknown source kind `{other}` (known: {})", KINDS.join(", ")),
+                format!(
+                    "unknown source kind `{other}` (known: {})",
+                    KINDS.join(", ")
+                ),
             )
             .with_hint_from(other, KINDS))
         }
@@ -743,8 +786,17 @@ fn infer_cell(cell: &str) -> Value {
 
 fn stage_decl(sec: &RawSection, name: &str) -> Result<StageDecl, SpecError> {
     const OPS: &[&str] = &[
-        "parse_arrest", "locate", "map", "filter", "select", "key_by", "count", "sum", "group",
-        "join", "unkey",
+        "parse_arrest",
+        "locate",
+        "map",
+        "filter",
+        "select",
+        "key_by",
+        "count",
+        "sum",
+        "group",
+        "join",
+        "unkey",
     ];
     let input = as_str(sec, req(sec, "input")?)?;
     let op_entry = req(sec, "op")?;
@@ -769,7 +821,11 @@ fn stage_decl(sec: &RawSection, name: &str) -> Result<StageDecl, SpecError> {
                 }
             }
             if cols.is_empty() {
-                return Err(SpecError::at(sec.line, &sec.name, "map stage has no `col.NAME = \"expr\"` entries"));
+                return Err(SpecError::at(
+                    sec.line,
+                    &sec.name,
+                    "map stage has no `col.NAME = \"expr\"` entries",
+                ));
             }
             StageOp::Map { cols }
         }
@@ -883,8 +939,20 @@ fn service_spec(sec: &RawSection) -> Result<(ServiceKind, usize, DataSpec, usize
     check_keys(
         sec,
         &[
-            "kind", "k", "data", "split", "split_seed", "n", "dims", "classes", "spread", "seed",
-            "centroid_seed", "hidden", "epochs", "train_seed",
+            "kind",
+            "k",
+            "data",
+            "split",
+            "split_seed",
+            "n",
+            "dims",
+            "classes",
+            "spread",
+            "seed",
+            "centroid_seed",
+            "hidden",
+            "epochs",
+            "train_seed",
         ],
         &[],
     )?;
@@ -905,7 +973,10 @@ fn service_spec(sec: &RawSection) -> Result<(ServiceKind, usize, DataSpec, usize
             return Err(SpecError::at(
                 kind_entry.line,
                 &sec.name,
-                format!("unknown service kind `{other}` (known: {})", KINDS.join(", ")),
+                format!(
+                    "unknown service kind `{other}` (known: {})",
+                    KINDS.join(", ")
+                ),
             )
             .with_hint_from(other, KINDS))
         }
@@ -946,7 +1017,14 @@ fn trace_spec(sec: &RawSection) -> Result<TraceSpec, SpecError> {
     check_keys(
         sec,
         &[
-            "kind", "seed", "ticks", "rate", "pool_n", "pool_dims", "pool_classes", "pool_spread",
+            "kind",
+            "seed",
+            "ticks",
+            "rate",
+            "pool_n",
+            "pool_dims",
+            "pool_classes",
+            "pool_spread",
             "pool_seed",
         ],
         &[],
@@ -961,9 +1039,19 @@ fn trace_spec(sec: &RawSection) -> Result<TraceSpec, SpecError> {
             let ticks = as_u64(sec, req(sec, "ticks")?)?;
             let rate = as_f64(sec, req(sec, "rate")?)?;
             Ok(if kind_name == "queries" {
-                TraceSpec::Queries { pool, seed, ticks, rate }
+                TraceSpec::Queries {
+                    pool,
+                    seed,
+                    ticks,
+                    rate,
+                }
             } else {
-                TraceSpec::KeyedQueries { pool, seed, ticks, rate }
+                TraceSpec::KeyedQueries {
+                    pool,
+                    seed,
+                    ticks,
+                    rate,
+                }
             })
         }
         other => Err(SpecError::at(
@@ -976,7 +1064,19 @@ fn trace_spec(sec: &RawSection) -> Result<TraceSpec, SpecError> {
 }
 
 fn fault_spec(sec: &RawSection) -> Result<FaultSpec, SpecError> {
-    check_keys(sec, &["seed", "drop_p", "dup_p", "reorder_p", "delay_ms", "kill", "revive"], &[])?;
+    check_keys(
+        sec,
+        &[
+            "seed",
+            "drop_p",
+            "dup_p",
+            "reorder_p",
+            "delay_ms",
+            "kill",
+            "revive",
+        ],
+        &[],
+    )?;
     let mut kills = Vec::new();
     for e in sec.get_all("kill") {
         kills.push(rank_at(sec, e)?);
@@ -1019,7 +1119,9 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
             Some((h, s)) => (h, Some(s)),
             None => (sec.name.as_str(), None),
         };
-        let dup = |what: &str| SpecError::at(sec.line, &sec.name, format!("duplicate `[{what}]` section"));
+        let dup = |what: &str| {
+            SpecError::at(sec.line, &sec.name, format!("duplicate `[{what}]` section"))
+        };
         match head {
             "scenario" => {
                 check_keys(sec, &["name"], &[])?;
@@ -1047,19 +1149,35 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
             }
             "source" => {
                 let Some(sub) = sub else {
-                    return Err(SpecError::at(sec.line, &sec.name, "sources need a name: `[source.NAME]`"));
+                    return Err(SpecError::at(
+                        sec.line,
+                        &sec.name,
+                        "sources need a name: `[source.NAME]`",
+                    ));
                 };
                 if sources.iter().any(|s| s.name == sub) {
-                    return Err(SpecError::at(sec.line, &sec.name, format!("duplicate source `{sub}`")));
+                    return Err(SpecError::at(
+                        sec.line,
+                        &sec.name,
+                        format!("duplicate source `{sub}`"),
+                    ));
                 }
                 sources.push(source_decl(sec, sub)?);
             }
             "stage" => {
                 let Some(sub) = sub else {
-                    return Err(SpecError::at(sec.line, &sec.name, "stages need a name: `[stage.NAME]`"));
+                    return Err(SpecError::at(
+                        sec.line,
+                        &sec.name,
+                        "stages need a name: `[stage.NAME]`",
+                    ));
                 };
                 if stages.iter().any(|s| s.name == sub) || sources.iter().any(|s| s.name == sub) {
-                    return Err(SpecError::at(sec.line, &sec.name, format!("duplicate name `{sub}`")));
+                    return Err(SpecError::at(
+                        sec.line,
+                        &sec.name,
+                        format!("duplicate name `{sub}`"),
+                    ));
                 }
                 stages.push(stage_decl(sec, sub)?);
             }
@@ -1076,7 +1194,11 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
                 service_core = Some(service_spec(sec)?);
             }
             "serve" => {
-                check_keys(sec, &["capacity", "max_batch_size", "max_wait", "workers"], &[])?;
+                check_keys(
+                    sec,
+                    &["capacity", "max_batch_size", "max_wait", "workers"],
+                    &[],
+                )?;
                 serve = ServeSpec {
                     capacity: opt(sec, "capacity", as_usize)?,
                     max_batch_size: opt(sec, "max_batch_size", as_usize)?,
@@ -1088,8 +1210,14 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
                 check_keys(
                     sec,
                     &[
-                        "num_shards", "vnodes", "seed", "initial_ranks", "capacity",
-                        "max_batch_size", "max_wait", "full_rebuild",
+                        "num_shards",
+                        "vnodes",
+                        "seed",
+                        "initial_ranks",
+                        "capacity",
+                        "max_batch_size",
+                        "max_wait",
+                        "full_rebuild",
                     ],
                     &[],
                 )?;
@@ -1138,7 +1266,10 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
                 return Err(SpecError::at(
                     sec.line,
                     &sec.name,
-                    format!("unknown section `[{other}]` (known: {})", KNOWN_SECTIONS.join(", ")),
+                    format!(
+                        "unknown section `[{other}]` (known: {})",
+                        KNOWN_SECTIONS.join(", ")
+                    ),
                 )
                 .with_hint_from(other, KNOWN_SECTIONS))
             }
@@ -1219,8 +1350,9 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
 
     let service = match service_core {
         Some((kind, k, data, line)) => {
-            let trace = trace
-                .ok_or_else(|| SpecError::at(line, "service", "a `[service]` needs a `[trace]` section"))?;
+            let trace = trace.ok_or_else(|| {
+                SpecError::at(line, "service", "a `[service]` needs a `[trace]` section")
+            })?;
             if matches!(trace, TraceSpec::TestSplit)
                 && !matches!(&data, DataSpec::Iris { split: Some(_) })
             {
@@ -1262,7 +1394,11 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
         }
         None => {
             if trace.is_some() {
-                return Err(SpecError::at(0, "trace", "a `[trace]` needs a `[service]` section"));
+                return Err(SpecError::at(
+                    0,
+                    "trace",
+                    "a `[trace]` needs a `[service]` section",
+                ));
             }
             None
         }
@@ -1342,7 +1478,8 @@ from = current
 
     #[test]
     fn unknown_key_hints_nearest() {
-        let err = parse_scenario("[scenario]\nname = x\n[run]\npartions = 4\n[sink]\nfrom = x\n").unwrap_err();
+        let err = parse_scenario("[scenario]\nname = x\n[run]\npartions = 4\n[sink]\nfrom = x\n")
+            .unwrap_err();
         assert_eq!(err.line, 4);
         assert_eq!(err.section, "run");
         assert_eq!(err.hint.as_deref(), Some("partitions"));

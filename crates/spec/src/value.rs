@@ -252,7 +252,10 @@ mod tests {
         use std::cmp::Ordering::*;
         assert_eq!(Value::Int(1).total_cmp(&Value::Float(1.5)), Less);
         assert_eq!(Value::Float(2.0).total_cmp(&Value::Int(1)), Greater);
-        assert_eq!(Value::Str("a".into()).total_cmp(&Value::Str("b".into())), Less);
+        assert_eq!(
+            Value::Str("a".into()).total_cmp(&Value::Str("b".into())),
+            Less
+        );
     }
 
     #[test]

@@ -278,7 +278,12 @@ fn every_malformed_spec_reports_line_section_and_hint() {
             assert_eq!(err.line, line, "{}: line ({err})", case.name);
         }
         if let Some(hint) = case.hint {
-            assert_eq!(err.hint.as_deref(), Some(hint), "{}: hint ({err})", case.name);
+            assert_eq!(
+                err.hint.as_deref(),
+                Some(hint),
+                "{}: hint ({err})",
+                case.name
+            );
         }
     }
 }

@@ -102,8 +102,12 @@ fn main() {
     println!("{}", hotspot_plan(&tables, 8));
     let (_, naive_stats) =
         hotspot_growth_with(&tables, config.historic_years, 8, OptimizerConfig::naive());
-    let (_, opt_stats) =
-        hotspot_growth_with(&tables, config.historic_years, 8, OptimizerConfig::default());
+    let (_, opt_stats) = hotspot_growth_with(
+        &tables,
+        config.historic_years,
+        8,
+        OptimizerConfig::default(),
+    );
     println!(
         "measured: {} -> {} shuffle bytes, {} -> {} shuffles ({} elided)",
         naive_stats.bytes(),

@@ -38,9 +38,10 @@ fn main() {
     if files.is_empty() {
         usage("no spec files given");
     }
-    let chaos_seed = std::env::var("PEACHY_CHAOS_SEED")
-        .ok()
-        .map(|s| s.parse().unwrap_or_else(|_| usage("PEACHY_CHAOS_SEED must be a u64")));
+    let chaos_seed = std::env::var("PEACHY_CHAOS_SEED").ok().map(|s| {
+        s.parse()
+            .unwrap_or_else(|_| usage("PEACHY_CHAOS_SEED must be a u64"))
+    });
 
     let opts = RunOptions {
         executor: exec,
@@ -51,7 +52,11 @@ fn main() {
     for file in &files {
         println!("=== {file} ===");
         let report = Runner::from_file(file).and_then(|runner| {
-            let runner = if explain { runner.with_explain() } else { runner };
+            let runner = if explain {
+                runner.with_explain()
+            } else {
+                runner
+            };
             runner.run(&opts)
         });
         match report {

@@ -119,7 +119,10 @@ fn elastic() {
             None => quiet_answers = Some(answers),
             Some(reference) => {
                 assert_eq!(&answers, reference, "backends must answer identically");
-                println!("answers identical to the Seq run ({} requests)", answers.len());
+                println!(
+                    "answers identical to the Seq run ({} requests)",
+                    answers.len()
+                );
             }
         }
     }

@@ -2,6 +2,7 @@
 //! extension experiments listed in EXPERIMENTS.md, exercised across crate
 //! boundaries at sizes the unit tests don't reach.
 
+use peachy::cluster::{CommStats, Executor};
 use peachy::data::digits::digit_dataset;
 use peachy::data::iris::iris;
 use peachy::data::selfdesc::SelfDescribing;
@@ -11,7 +12,6 @@ use peachy::ensemble::{
     ensemble_calibration, master_worker, model_calibration, train_with_history, EarlyStop,
     Ensemble, NetConfig, TrainConfig,
 };
-use peachy::cluster::{CommStats, Executor};
 use peachy::heat::heat2d::{solve2d_forall, solve2d_serial, Heat2dProblem};
 use peachy::kmeans::{elbow_sweep, silhouette};
 use peachy::knn::cv::select_k;

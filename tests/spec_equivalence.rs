@@ -37,11 +37,15 @@ fn small_city_tables() -> CityTables {
 
 /// One spec row rendered as an [`NtaRate`] for field-wise comparison.
 fn as_rate(row: &[Value]) -> NtaRate {
-    let Value::Str(code) = &row[0] else { panic!("code column") };
+    let Value::Str(code) = &row[0] else {
+        panic!("code column")
+    };
     let (Value::Int(arrests), Value::Int(population)) = (&row[1], &row[2]) else {
         panic!("count columns")
     };
-    let Value::Float(per_100k) = row[3] else { panic!("rate column") };
+    let Value::Float(per_100k) = row[3] else {
+        panic!("rate column")
+    };
     NtaRate {
         code: code.clone(),
         arrests: *arrests as u64,
@@ -101,7 +105,10 @@ fn city_spec_matches_the_rust_twin_on_every_backend() {
     // Like `bytes`, the high-water meter is measured over the encoded row
     // representation (Value rows here, typed rows in the twin), so it is
     // pinned spec ≡ spec: deterministic and identical on every backend.
-    assert!(peaks[0] > 0, "materializing the tables must charge the meter");
+    assert!(
+        peaks[0] > 0,
+        "materializing the tables must charge the meter"
+    );
     assert!(
         peaks.iter().all(|&p| p == peaks[0]),
         "peak_resident_bytes must be backend-invariant: {peaks:?}"
@@ -119,7 +126,11 @@ fn iris_spec_answers_match_the_reference_classifier() {
         let report = runner.run(&RunOptions::on(exec)).expect("spec runs");
         assert_eq!(report.rows.len(), reference.len(), "{label}");
         for (row, want) in report.rows.iter().zip(&reference) {
-            assert_eq!(row[1], Value::Int(*want as i64), "{label}: answers must match");
+            assert_eq!(
+                row[1],
+                Value::Int(*want as i64),
+                "{label}: answers must match"
+            );
         }
         let serve = report.serve.expect("service scenarios carry the ledger");
         assert_eq!(serve.completed as usize, reference.len(), "{label}");
@@ -142,7 +153,10 @@ fn elastic_spec_is_backend_invariant_under_scripted_chaos() {
     let cluster = runner
         .run(&RunOptions::on(Executor::cluster(4)))
         .expect("cluster run");
-    assert_eq!(cluster.rows, seq.rows, "answers must not depend on the backend");
+    assert_eq!(
+        cluster.rows, seq.rows,
+        "answers must not depend on the backend"
+    );
 }
 
 /// The committed city spec with its `golden =` line dropped (in-memory
@@ -191,7 +205,10 @@ fn chaotic_pipeline_run_is_bit_identical_to_clean() {
                 apply_fault: true,
             })
             .expect("reseeded run");
-        assert_eq!(reseeded.rows, clean.rows, "seed {seed} must not change the answer");
+        assert_eq!(
+            reseeded.rows, clean.rows,
+            "seed {seed} must not change the answer"
+        );
     }
 }
 
@@ -209,7 +226,10 @@ fn spill_budgeted_spec_spills_yet_answers_the_same() {
         .expect("budgeted run");
     assert!(budgeted.counters.spills > 0, "a 1-byte budget must spill");
     assert!(budgeted.counters.spill_bytes > 0);
-    assert_eq!(budgeted.rows, free.rows, "spilling must not change the answer");
+    assert_eq!(
+        budgeted.rows, free.rows,
+        "spilling must not change the answer"
+    );
     // Streaming consumption (the default) keeps the budgeted run's
     // high-water mark at or below the mem-mode run: spilled partitions are
     // decoded row-by-row, never rebuilt whole.
@@ -224,10 +244,11 @@ fn spill_budgeted_spec_spills_yet_answers_the_same() {
 
 #[test]
 fn explain_rides_any_spec_run() {
-    let report: ScenarioReport = Runner::from_str(&format!("{}[report]\nexplain = true\n", city_text("")))
-        .expect("spec parses")
-        .run(&RunOptions::default())
-        .expect("run");
+    let report: ScenarioReport =
+        Runner::from_str(&format!("{}[report]\nexplain = true\n", city_text("")))
+            .expect("spec parses")
+            .run(&RunOptions::default())
+            .expect("run");
     let explain = report.explain.expect("explain requested");
     assert!(explain.contains("optimized plan"), "{explain}");
 }
