@@ -1,7 +1,6 @@
 //! E1 + E11: k-NN timing — heap vs sort selection, rayon batch, MapReduce
 //! rank sweep, and the KD-tree vs brute-force crossover over dimension.
 
-use peachy::cluster::Executor;
 use peachy::data::synth::gaussian_blobs;
 use peachy::knn::{
     brute::{nearest_heap, nearest_sort},
@@ -48,7 +47,13 @@ fn bench_batch(c: &mut Harness) {
     group.bench_function("rayon", |b| b.iter(|| classify_batch_par(&db, &queries, k)));
     let index = KnnIndex::new(db.clone());
     group.bench_function("packed_index", |b| {
-        b.iter(|| index.classify_batch_with(&queries.points, k, &Executor::seq()))
+        b.iter(|| {
+            queries
+                .points
+                .iter_rows()
+                .map(|q| index.classify(q, k))
+                .collect::<Vec<u32>>()
+        })
     });
     for ranks in [1usize, 2, 4, 8] {
         group.bench_with_input(

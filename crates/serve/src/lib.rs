@@ -35,7 +35,9 @@
 //!
 //! Three built-in services prove the seam is generic: k-NN classification
 //! ([`KnnService`]), nearest-centroid assignment ([`KmeansAssignService`]),
-//! and neural-net inference ([`EnsembleService`]).
+//! and neural-net inference ([`EnsembleService`]). Each writes its model
+//! once, as [`Service::answer`]; the provided [`Service::run_batch`] is the
+//! one split of a batch over the executor.
 //!
 //! The [`shard`] module adds the **elastic tier**: a [`ShardedServer`]
 //! drives the same front end (admission, batcher, replay, `run_trace`,
@@ -46,6 +48,9 @@
 //! replaying in-flight requests, and scales live via scripted
 //! [`ScaleEvent`]s — all in virtual time, so a whole
 //! join/kill/drain trace is bit-identical across backends and chaos seeds.
+//! A shard's state is a pool service: [`ShardedKnnService`] builds a
+//! [`KnnService`] per database block, and [`Replicated`] copies one
+//! row-input service into every shard.
 //!
 //! ```
 //! use peachy_cluster::{Executor, FaultPlan};
@@ -73,8 +78,8 @@ pub mod trace;
 
 pub use server::{BatchRecord, Response, ServeConfig, ServeError, Server, ServerReport};
 pub use service::{
-    row_route_key, CentroidReplica, EchoService, EnsembleService, KmeansAssignService, KnnService,
-    KnnShard, Service, ShardedEnsembleService, ShardedKmeansAssignService, ShardedKnnService,
+    row_route_key, EchoService, EnsembleService, KmeansAssignService, KnnService, Replicated,
+    Service, ShardedEnsembleService, ShardedKmeansAssignService, ShardedKnnService,
 };
 pub use shard::{
     ReshardCause, ReshardRecord, ScaleEvent, ShardConfig, ShardMap, ShardedServer, ShardedService,

@@ -2,10 +2,10 @@
 //!
 //! [`ServerStats`] *extends* the cluster layer's
 //! [`peachy_cluster::CommStats`] rather than duplicating it:
-//! the embedded comm block is what services feed through
-//! `map_parts_counted`, so one stats object answers both "what did the
-//! server do" (admission, batching, latency) and "what did the backend
-//! move" (scatter/gather elements, collective bytes).
+//! the embedded comm block is what [`crate::Service::run_batch`] feeds
+//! through `map_parts_counted`, so one stats object answers both "what
+//! did the server do" (admission, batching, latency) and "what did the
+//! backend move" (scatter/gather elements, collective bytes).
 //!
 //! Everything is a relaxed atomic or a fixed-shape histogram of relaxed
 //! atomics, so the ledger is cheap enough to leave on and safe to update
@@ -99,7 +99,7 @@ impl ServerStats {
     }
 
     /// The embedded communication counters (what the backend moved);
-    /// services report into this block via `map_parts_counted`.
+    /// [`crate::Service::run_batch`] counts each batch's split into it.
     pub fn comm(&self) -> &Arc<CommStats> {
         &self.comm
     }

@@ -23,7 +23,7 @@
 //! seed from `PEACHY_CHAOS_SEED` (logged for reproduction), mirroring the
 //! cluster fault-injection job.
 
-use peachy_cluster::{CommStats, EdgeFault, Executor, FaultPlan, TickBackoff};
+use peachy_cluster::{EdgeFault, Executor, FaultPlan, TickBackoff};
 use peachy_data::synth::gaussian_blobs;
 use peachy_prng::{mix_seed, Lcg64, RandomStream};
 use peachy_serve::{
@@ -235,7 +235,7 @@ impl Service for AlwaysPanics {
         "always-panics"
     }
 
-    fn run_batch(&self, _inputs: &[u32], _exec: &Executor, _comm: &CommStats) -> Vec<u32> {
+    fn answer(&self, _inputs: &[u32]) -> Vec<u32> {
         panic!("this service always panics")
     }
 }
