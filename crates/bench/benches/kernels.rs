@@ -80,7 +80,7 @@ fn bench_scan(c: &mut Harness) {
     group.bench_function("panels", |b| {
         b.iter(|| {
             let mut acc = 0.0;
-            dist2_scan_panels(&panels, &query, |_, d2| acc += d2);
+            dist2_scan_panels(&panels, 0..panels.rows(), &query, |_, d2| acc += d2);
             acc
         })
     });

@@ -1,5 +1,6 @@
 //! E1 + E11: k-NN timing — heap vs sort selection, rayon batch, MapReduce
-//! rank sweep, and the KD-tree vs brute-force crossover over dimension.
+//! rank sweep, tiled batch search on the served index, and the KD-tree vs
+//! brute-force crossover over dimension.
 
 use peachy::data::synth::gaussian_blobs;
 use peachy::knn::{
@@ -35,7 +36,8 @@ fn bench_selection(c: &mut Harness) {
 }
 
 /// E1: the full batch, sequential vs rayon vs MapReduce over ranks, plus
-/// the sequential batch on the served, panel-packed [`KnnIndex`].
+/// the sequential batch on the served, panel-packed [`KnnIndex`], one
+/// query at a time and as one tiled batch.
 fn bench_batch(c: &mut Harness) {
     let (db, queries) = small_instance();
     let k = 15;
@@ -54,6 +56,10 @@ fn bench_batch(c: &mut Harness) {
                 .map(|q| index.classify(q, k))
                 .collect::<Vec<u32>>()
         })
+    });
+    let rows: Vec<&[f64]> = queries.points.iter_rows().collect();
+    group.bench_function("packed_index_batch", |b| {
+        b.iter(|| index.classify_batch(&rows, k))
     });
     for ranks in [1usize, 2, 4, 8] {
         group.bench_with_input(
@@ -75,6 +81,27 @@ fn bench_batch(c: &mut Harness) {
             },
         );
     }
+}
+
+/// E1: the served index on a database that outgrows L2 (100 000 × 16,
+/// 12.8 MB): 32-query batches answered one query at a time, each
+/// streaming the whole database, against one tiled pass per batch.
+fn bench_tiled(c: &mut Harness) {
+    let all = gaussian_blobs(100_032, 16, 8, 2.0, 29);
+    let queries = all.select(&(100_000..100_032).collect::<Vec<_>>());
+    let index = KnnIndex::new(all.select(&(0..100_000).collect::<Vec<_>>()));
+    let rows: Vec<&[f64]> = queries.points.iter_rows().collect();
+    let k = 5;
+    let mut group = c.benchmark_group("E1_tiled");
+    group.sample_size(10);
+    group.bench_function("per_query", |b| {
+        b.iter(|| {
+            rows.iter()
+                .map(|q| index.classify(q, k))
+                .collect::<Vec<u32>>()
+        })
+    });
+    group.bench_function("batch", |b| b.iter(|| index.classify_batch(&rows, k)));
 }
 
 /// E11: KD-tree vs brute force across dimensionality — the tree wins at
@@ -150,6 +177,7 @@ fn main() {
     let mut c = Harness::from_args();
     bench_selection(&mut c);
     bench_batch(&mut c);
+    bench_tiled(&mut c);
     bench_kdtree_crossover(&mut c);
     bench_quadtree(&mut c);
     bench_kdtree_build(&mut c);

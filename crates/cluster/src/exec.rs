@@ -108,9 +108,9 @@ impl Executor {
     /// counts are clipped to [`Executor::parts_for`]`(n)` so that a
     /// distribution built with `parts_for` satisfies the one-rank-per-part
     /// contract of the `Cluster` backend even when `n` is smaller than the
-    /// configured rank count. Serving-style callers that run many small
-    /// batches through one configured executor shrink per batch; the
-    /// fault plan rides along unchanged.
+    /// configured rank count. The dataflow's executor-scheduled actions
+    /// shrink to their partition count; the fault plan rides along
+    /// unchanged.
     pub fn shrink_to(&self, n: usize) -> Executor {
         match self {
             Executor::Seq => Executor::Seq,

@@ -38,9 +38,10 @@
 //! dimension-major instead, packed in place inside the matrix's own
 //! buffer: the eight values one coordinate step needs are adjacent, and
 //! [`dist2_scan_panels`] runs the same chains as vector loads and vector
-//! arithmetic, with the same bits. The served k-NN database is packed
-//! this way; the row-major scan stays the reference the k-NN laws and the
-//! taught algorithms use.
+//! arithmetic, with the same bits — compiled for AVX2 where the running
+//! CPU has it, through the module's one `unsafe` call. The served k-NN
+//! database is packed this way; the row-major scan stays the reference
+//! the k-NN laws and the taught algorithms use.
 //!
 //! **Tie-breaking.** All argmin kernels scan candidates in ascending index
 //! order with a strict `<` comparison, so on exactly equal keys the lowest
@@ -199,22 +200,62 @@ impl Panels {
     }
 }
 
-/// Visit `(i, dist2(row i, x))` for every row of `rows`, in ascending
-/// order — [`dist2_scan`] over the whole matrix, on the panel layout.
+/// Visit `(i, dist2(row i, x))` for every `i` in `range`, in ascending
+/// order — [`dist2_scan`] on the panel layout.
+///
+/// `range` must not cut a panel: it starts at a multiple of [`LANES`] and
+/// ends at one or inside the row-major tail, so a scan carved into such
+/// ranges visits exactly what the whole scan visits.
 ///
 /// Each coordinate step loads one contiguous run of [`LANES`] values and
 /// updates [`LANES`] independent chains, which the compiler turns into
 /// vector loads and arithmetic; [`dist2_scan`] reads the same lanes a row
 /// apart and stays scalar. Each chain still adds its squared differences
 /// left to right from zero, so every visited value is **bit-identical**
-/// to [`dist2`] and to [`dist2_scan`].
-pub fn dist2_scan_panels(rows: &Panels, x: &[f64], mut visit: impl FnMut(usize, f64)) {
+/// to [`dist2`] and to [`dist2_scan`]. On x86-64 CPUs with AVX2 the same
+/// body runs compiled for AVX2 (four lanes per instruction instead of
+/// two), chosen at run time; AVX2 adds no fused multiply-add, so the bits
+/// do not change.
+pub fn dist2_scan_panels(
+    rows: &Panels,
+    range: Range<usize>,
+    x: &[f64],
+    visit: impl FnMut(usize, f64),
+) {
+    let full = rows.rows / LANES * LANES;
+    assert!(
+        range.start.is_multiple_of(LANES)
+            && (range.end.is_multiple_of(LANES) || range.end > full)
+            && range.end <= rows.rows,
+        "panel scan range {range:?} cuts a panel of a {}-row matrix",
+        rows.rows
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `scan_panels_avx2` requires only that the running CPU
+        // supports AVX2, which the detection just above established.
+        return unsafe { scan_panels_avx2(rows, range, x, visit) };
+    }
+    scan_panels(rows, range, x, visit)
+}
+
+/// [`scan_panels`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scan_panels_avx2(rows: &Panels, range: Range<usize>, x: &[f64], visit: impl FnMut(usize, f64)) {
+    scan_panels(rows, range, x, visit)
+}
+
+/// The body of [`dist2_scan_panels`], inlined into each instantiation so
+/// that each is compiled for its own target features.
+#[inline(always)]
+fn scan_panels(rows: &Panels, range: Range<usize>, x: &[f64], mut visit: impl FnMut(usize, f64)) {
     let d = rows.cols;
     debug_assert_eq!(x.len(), d);
-    let full = rows.rows / LANES * LANES;
-    let (panels, tail) = rows.data.split_at(full * d);
-    for b in 0..full / LANES {
-        let panel = &panels[b * LANES * d..(b + 1) * LANES * d];
+    let panels_end = range.end.min(rows.rows / LANES * LANES);
+    let mut i = range.start;
+    while i < panels_end {
+        let panel = &rows.data[i * d..(i + LANES) * d];
         let mut acc = [0.0f64; LANES];
         for (col, &xp) in panel.as_chunks::<LANES>().0.iter().zip(x) {
             for (a, &v) in acc.iter_mut().zip(col) {
@@ -223,11 +264,12 @@ pub fn dist2_scan_panels(rows: &Panels, x: &[f64], mut visit: impl FnMut(usize, 
             }
         }
         for (l, &a) in acc.iter().enumerate() {
-            visit(b * LANES + l, a);
+            visit(i + l, a);
         }
+        i += LANES;
     }
-    for j in 0..rows.rows - full {
-        visit(full + j, dist2(&tail[j * d..(j + 1) * d], x));
+    for j in i..range.end {
+        visit(j, dist2(&rows.data[j * d..(j + 1) * d], x));
     }
 }
 
@@ -650,7 +692,7 @@ mod tests {
                 dist2_scan(&rows, 0..n, x.row(0), |i, v| seen.push((i, v)));
                 assert_eq!(seen.len(), n);
                 let mut packed = Vec::new();
-                dist2_scan_panels(&Panels::new(rows.clone()), x.row(0), |i, v| {
+                dist2_scan_panels(&Panels::new(rows.clone()), 0..n, x.row(0), |i, v| {
                     packed.push((i, v.to_bits()))
                 });
                 let bits: Vec<(usize, u64)> = seen.iter().map(|&(i, v)| (i, v.to_bits())).collect();
@@ -674,6 +716,41 @@ mod tests {
         for (i, v) in part {
             assert_eq!(v, full[i]);
         }
+    }
+
+    #[test]
+    fn dispatched_panel_scan_matches_portable_body() {
+        // On an AVX2 host this compares the two instantiations; elsewhere
+        // the dispatched scan is the portable body itself. The shapes are
+        // ragged, an exact multiple of LANES, and d = 1.
+        for (n, d) in [(5 * LANES + 3, 16), (4 * LANES, 5), (3 * LANES + 6, 1)] {
+            let rows = Panels::new(toy(n, d, (n * 7 + d) as u64));
+            let x = toy(1, d, 5);
+            let full = n / LANES * LANES;
+            let mid_tail = full + (n - full).div_ceil(2);
+            // Whole, ending on a panel, only the tail, and from a later
+            // panel into the middle of the tail.
+            for range in [0..n, 0..full, 2 * LANES..full, full..n, LANES..mid_tail] {
+                let mut portable = Vec::new();
+                scan_panels(&rows, range.clone(), x.row(0), |i, v| {
+                    portable.push((i, v.to_bits()))
+                });
+                let mut dispatched = Vec::new();
+                dist2_scan_panels(&rows, range.clone(), x.row(0), |i, v| {
+                    dispatched.push((i, v.to_bits()))
+                });
+                assert_eq!(dispatched, portable, "n={n} d={d} {range:?}");
+                let rows_seen: Vec<usize> = portable.iter().map(|&(i, _)| i).collect();
+                assert_eq!(rows_seen, range.collect::<Vec<_>>(), "n={n} d={d}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cuts a panel")]
+    fn panel_scan_rejects_a_range_inside_a_panel() {
+        let rows = Panels::new(toy(3 * LANES, 2, 1));
+        dist2_scan_panels(&rows, 0..LANES + 1, &[0.0, 0.0], |_, _| {});
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! within the documented rounding window and preserve the lowest-index
 //! tie-break — across ragged shapes (0/1/non-multiple-of-block sizes).
 
+use std::ops::Range;
+
 use peachy_data::kernels::{
     argmin_dist2, argmin_dist2_ref, dist2, dist2_scan, dist2_scan_panels, dot, matmul_nt,
     matmul_nt_ref, pairwise_dist2, pairwise_dist2_ref, Candidates, Panels, LANES,
@@ -35,10 +37,22 @@ fn dist2_tol(x: &[f64], c: &[f64]) -> f64 {
     1e-9 * (1.0 + dot(x, x) + dot(c, c))
 }
 
+/// A range over `n` rows that the panel scan accepts: it starts on a
+/// `LANES` boundary and ends on one or inside the row-major tail.
+fn panel_range(g: &mut Gen, n: usize) -> Range<usize> {
+    let full = n / LANES * LANES;
+    let start = LANES * g.range(0..full / LANES + 1);
+    let ends: Vec<usize> = (start..=n)
+        .filter(|&end| end.is_multiple_of(LANES) || end > full)
+        .collect();
+    start..ends[g.range(0..ends.len())]
+}
+
 /// Exact family: the lane-blocked scan, and the panel scan over the same
-/// rows packed, visit every index in order with values bit-identical to
-/// the scalar pair kernel. Every case covers fewer rows than `LANES`, an
-/// exact multiple of `LANES`, a ragged count at d = 1, and a free draw.
+/// rows packed, visit every index of the whole matrix and of a random
+/// panel-aligned range in order, with values bit-identical to the scalar
+/// pair kernel. Every case covers fewer rows than `LANES`, an exact
+/// multiple of `LANES`, a ragged count at d = 1, and a free draw.
 #[test]
 fn dist2_scan_is_bit_exact() {
     check("dist2_scan_is_bit_exact", CASES, |g| {
@@ -51,15 +65,23 @@ fn dist2_scan_is_bit_exact() {
         for (n, d) in shapes {
             let rows = matrix(g, n..n + 1, d);
             let x: Vec<f64> = (0..d).map(|_| coord(g)).collect();
-            let expected: Vec<(usize, u64)> = (0..n)
-                .map(|i| (i, dist2(rows.row(i), &x).to_bits()))
-                .collect();
-            let mut visited = Vec::new();
-            dist2_scan(&rows, 0..n, &x, |i, v| visited.push((i, v.to_bits())));
-            assert_eq!(visited, expected, "row-major, {n} rows, d = {d}");
-            let mut packed = Vec::new();
-            dist2_scan_panels(&Panels::new(rows), &x, |i, v| packed.push((i, v.to_bits())));
-            assert_eq!(packed, expected, "panels, {n} rows, d = {d}");
+            let panels = Panels::new(rows.clone());
+            for range in [0..n, panel_range(g, n)] {
+                let expected: Vec<(usize, u64)> = range
+                    .clone()
+                    .map(|i| (i, dist2(rows.row(i), &x).to_bits()))
+                    .collect();
+                let mut visited = Vec::new();
+                dist2_scan(&rows, range.clone(), &x, |i, v| {
+                    visited.push((i, v.to_bits()))
+                });
+                assert_eq!(visited, expected, "row-major, {n} rows, d = {d}, {range:?}");
+                let mut packed = Vec::new();
+                dist2_scan_panels(&panels, range.clone(), &x, |i, v| {
+                    packed.push((i, v.to_bits()))
+                });
+                assert_eq!(packed, expected, "panels, {n} rows, d = {d}, {range:?}");
+            }
         }
     });
 }

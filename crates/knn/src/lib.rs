@@ -11,9 +11,11 @@
 //!   reference every other variant is tested against.
 //! * [`index`] — [`KnnIndex`], the served database: the same heap search
 //!   over rows packed once into the kernel layer's panel layout, whose
-//!   distance scan vectorizes. It answers one query at a time; the serving
-//!   layer splits request batches over executor backends. Both serving
-//!   tiers answer from it; its answers equal [`brute`]'s bit for bit.
+//!   distance scan vectorizes. It answers a batch of queries in one pass
+//!   over the database, tile by cache-sized tile, and a single query as a
+//!   batch of one; the serving layer splits request batches over executor
+//!   backends. Both serving tiers answer from it; its answers equal
+//!   [`brute`]'s bit for bit.
 //! * [`mapreduce`] — the assignment's actual task: k-NN on the
 //!   MapReduce-MPI-style engine, with map tasks computing distances over
 //!   database blocks and a reduction phase extracting nearest neighbours

@@ -381,13 +381,10 @@ impl<S: Service> Workers<S> {
             match job {
                 Err(_) => return,
                 Ok(Job::Run(batch)) => {
-                    // Refit the backend to the batch so small batches still
-                    // satisfy the cluster backend's one-rank-per-part contract.
-                    let exec = self.exec.shrink_to(batch.inputs.len());
                     let answered = catch_unwind(AssertUnwindSafe(|| {
                         let outputs =
                             self.service
-                                .run_batch(&batch.inputs, &exec, self.stats.comm());
+                                .run_batch(&batch.inputs, &self.exec, self.stats.comm());
                         batch.answer(outputs, &self.stats);
                     }));
                     if answered.is_ok() {

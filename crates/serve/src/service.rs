@@ -62,11 +62,12 @@ pub trait Service: Send + Sync + 'static {
     fn answer(&self, inputs: &[Self::Input]) -> Vec<Self::Output>;
 
     /// Answer every input in the batch, in order: the batch is split into
-    /// even blocks over `exec`, and [`Service::answer`] answers each block.
-    /// The server hands an executor already shrunk to the batch
-    /// ([`Executor::shrink_to`]) and its ledger's embedded [`CommStats`],
-    /// which counts what the split scatters, gathers and moves. An empty
-    /// batch answers empty.
+    /// even blocks over `exec`, at most one per input
+    /// ([`Executor::parts_for`]), and [`Service::answer`] answers each
+    /// block. The server hands its configured executor, whatever the
+    /// batch's size, and its ledger's embedded [`CommStats`], which counts
+    /// what the split scatters, gathers and moves. An empty batch answers
+    /// empty.
     fn run_batch(
         &self,
         inputs: &[Self::Input],
@@ -102,7 +103,8 @@ impl Service for EchoService {
 
 /// k-NN classification as a service: each request is a query row, each
 /// answer the majority-vote class among the `k` nearest database points,
-/// searched in a [`KnnIndex`] packed once at construction.
+/// searched in a [`KnnIndex`] packed once at construction. Each batch is
+/// one tiled pass over the database ([`KnnIndex::classify_batch`]).
 ///
 /// It is also the per-shard state of [`ShardedKnnService`], built over
 /// one shard's block of the database.
@@ -122,10 +124,6 @@ impl KnnService {
             k,
         }
     }
-
-    fn classify(&self, row: &[f64]) -> u32 {
-        self.index.classify(row, self.k)
-    }
 }
 
 impl Service for KnnService {
@@ -137,7 +135,8 @@ impl Service for KnnService {
     }
 
     fn answer(&self, inputs: &[Vec<f64>]) -> Vec<u32> {
-        inputs.iter().map(|row| self.classify(row)).collect()
+        let rows: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        self.index.classify_batch(&rows, self.k)
     }
 }
 
@@ -274,7 +273,8 @@ impl ShardedService for ShardedKnnService {
     }
 
     fn run_shard(&self, _shard: usize, state: &KnnService, inputs: &[Self::Input]) -> Vec<u32> {
-        inputs.iter().map(|(_, row)| state.classify(row)).collect()
+        let rows: Vec<&[f64]> = inputs.iter().map(|(_, row)| row.as_slice()).collect();
+        state.index.classify_batch(&rows, state.k)
     }
 }
 
@@ -340,7 +340,7 @@ mod tests {
         let reference = classify_batch_seq(&db, &queries, 5);
         for exec in backends() {
             let comm = CommStats::new();
-            let out = svc.run_batch(&inputs, &exec.shrink_to(inputs.len()), &comm);
+            let out = svc.run_batch(&inputs, &exec, &comm);
             assert_eq!(out, reference, "{exec:?}");
             assert!(svc.run_batch(&[], &exec, &comm).is_empty(), "{exec:?}");
         }
@@ -355,7 +355,7 @@ mod tests {
         let reference = Candidates::new(&centroids).assign(&data.points);
         for exec in backends() {
             let comm = CommStats::new();
-            let out = svc.run_batch(&inputs, &exec.shrink_to(inputs.len()), &comm);
+            let out = svc.run_batch(&inputs, &exec, &comm);
             assert_eq!(out, reference, "{exec:?}");
             assert!(svc.run_batch(&[], &exec, &comm).is_empty(), "{exec:?}");
         }
@@ -376,7 +376,7 @@ mod tests {
         let reference = net.predict_batch(&data.points);
         for exec in backends() {
             let comm = CommStats::new();
-            let out = svc.run_batch(&inputs, &exec.shrink_to(inputs.len()), &comm);
+            let out = svc.run_batch(&inputs, &exec, &comm);
             assert_eq!(out, reference, "{exec:?}");
             assert!(svc.run_batch(&[], &exec, &comm).is_empty(), "{exec:?}");
         }
