@@ -1,11 +1,12 @@
 //! E17: zero-copy collective payloads and sized shuffles.
 //!
-//! Two ablations behind this experiment: (1) the tree broadcast's
-//! clone path deep-copies the payload once per child, so its cost grows
-//! with payload size, while the `Shared` (`Arc`-payload) path moves one
-//! refcount bump per edge and its per-child cost should be
-//! payload-size-independent; (2) the shuffle's two-pass exact-capacity
-//! bucketing vs the naive flat push-and-grow strategy it replaced.
+//! Two ablations behind this experiment: (1) the tree broadcast of a deep
+//! payload copies it once per child, so its cost grows with payload size,
+//! while the same `broadcast` (and the flat `broadcast_linear`) of a
+//! `Shared` (`Arc`) payload moves one refcount bump per edge, so its
+//! per-child cost should be payload-size-independent; (2) the shuffle's
+//! two-pass exact-capacity bucketing vs the naive flat push-and-grow
+//! strategy it replaced.
 
 use peachy::cluster::dist::{owner_of_key, ROUTE_SEED};
 use peachy::cluster::{Cluster, Shared};
@@ -44,7 +45,7 @@ fn bench_broadcast_payload(c: &mut Harness) {
                     } else {
                         Vec::new()
                     });
-                    comm.broadcast_shared(0, v).len()
+                    comm.broadcast(0, v).len()
                 })
             })
         });
@@ -58,7 +59,7 @@ fn bench_broadcast_payload(c: &mut Harness) {
                     } else {
                         Vec::new()
                     });
-                    comm.broadcast_linear_shared(0, v).len()
+                    comm.broadcast_linear(0, v).len()
                 })
             })
         });

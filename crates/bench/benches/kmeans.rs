@@ -108,7 +108,8 @@ fn bench_executor_backends(c: &mut Harness) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                peachy::kmeans::fit_with(&data.points, &config, init.clone(), &exec).iterations
+                peachy::kmeans::fit_with(&data.points, &config, init.clone(), &exec, None)
+                    .iterations
             })
         });
     }

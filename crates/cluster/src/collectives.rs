@@ -17,22 +17,24 @@
 //! kept for the ablation benchmark comparing flat vs. tree collectives — the
 //! "architectural knowledge can help design faster code" lesson of §2.
 //!
-//! **Zero-copy payloads**: every deep-cloning collective has a [`Shared`]
-//! (`Arc`) twin — [`Comm::broadcast_shared`], [`Comm::allgather_shared`],
-//! [`Comm::allreduce_shared`], [`Comm::broadcast_linear_shared`] — whose
-//! fan-out moves one reference-counted handle per tree edge instead of one
-//! deep clone per child, so the per-child cost is independent of the
-//! payload size. The shared payload is immutable, so distributed-memory
-//! semantics are preserved; results are bit-identical to the clone path
-//! (same topology, same seq/key bookkeeping, proven by a grid test), and
-//! byte accounting charges the *logical* value per edge on both paths.
+//! **Zero-copy payloads**: pass a [`Shared`] (`Arc`) payload to the one
+//! collective. [`Comm::broadcast`], [`Comm::broadcast_linear`] and
+//! [`Comm::allgather`] at `T = Shared<U>` run the same topology and the
+//! same `(seq, round)` keys, but the clone each edge makes is a refcount
+//! bump instead of a deep copy, so the per-child cost is independent of
+//! the payload size. The shared payload is immutable, so distributed-memory
+//! semantics are preserved, and `ByteSized for Arc<U>` reports `U`'s bytes,
+//! so byte accounting charges the *logical* value per edge either way.
+//! [`Comm::allreduce_shared`] is the one shared-only entry point: non-root
+//! ranks have no value to hand the broadcast, so it pairs the reduction
+//! with a receive-only broadcast of the total as one `Shared` allocation.
 //!
 //! **Failure semantics** (fail-stop, see DESIGN.md "Failure model"): a
 //! collective has no partial-completion story. If a participating rank dies
 //! mid-collective, every rank blocked on a message from it aborts with a
 //! peer-death classification instead of hanging; the abort cascades along
 //! the communication tree (each aborting rank broadcasts its own death
-//! notice), so under [`Cluster::run_fallible`](crate::Cluster::run_fallible)
+//! notice), so under [`Cluster::run_with_plan`](crate::Cluster::run_with_plan)
 //! the whole job terminates with the victim reported as the primary failure
 //! and every survivor as a `PeerDead` casualty — mirroring how MPI tears
 //! down a communicator after a member fails. Plans that only delay,
@@ -79,9 +81,7 @@ impl Comm {
     }
 
     /// Destinations `(round, dst)` this rank forwards to in a binomial-tree
-    /// broadcast rooted at `root`. One topology function feeds the clone
-    /// and the zero-copy variants, so their seq/key bookkeeping is
-    /// identical by construction.
+    /// broadcast rooted at `root`.
     fn bcast_children(&self, root: usize, vrank: usize) -> Vec<(u32, usize)> {
         let n = self.size();
         let rounds = usize::BITS - (n - 1).leading_zeros();
@@ -101,9 +101,9 @@ impl Comm {
     }
 
     /// Round-0 destinations of a flat (linear) broadcast: every rank but
-    /// the root, one envelope each — shared by [`Comm::broadcast_linear`]
-    /// and [`Comm::broadcast_linear_shared`] so the E17 flat-vs-tree-vs-
-    /// shared ablation compares identical bookkeeping.
+    /// the root, one envelope each, whether the payload is deep or
+    /// [`Shared`] — so the E17 flat-vs-tree-vs-shared ablation compares
+    /// identical bookkeeping.
     fn linear_dsts(&self, root: usize) -> Vec<(u32, usize)> {
         (0..self.size())
             .filter(|&d| d != root)
@@ -117,7 +117,8 @@ impl Comm {
     /// (The collective APIs return `T` at every rank, so the clone count
     /// is unchanged — but the original buffer now travels to a child
     /// instead of idling at the sender, and the send loop lives in one
-    /// place for all broadcast variants.)
+    /// place for all broadcast variants.) The payload is sized once; at
+    /// `T = Shared<U>` each clone is a refcount bump.
     fn fan_out<T: Send + Clone + ByteSized + 'static>(
         &mut self,
         seq: u64,
@@ -146,29 +147,6 @@ impl Comm {
         keep
     }
 
-    /// Zero-copy fan-out: one `Arc` clone per edge instead of one deep
-    /// clone per child. The payload size is measured **once**, before the
-    /// edge loop — the per-child cost is a pointer hop, independent of the
-    /// payload — while byte accounting still charges the logical value on
-    /// every edge, keeping clone and shared totals identical.
-    fn fan_out_shared<T: Send + Sync + ByteSized + 'static>(
-        &mut self,
-        seq: u64,
-        dsts: &[(u32, usize)],
-        value: Shared<T>,
-    ) -> Shared<T> {
-        let bytes = value.approx_bytes() as u64;
-        for &(round, dst) in dsts {
-            self.send_keyed(
-                dst,
-                Self::coll_key(seq, round),
-                Box::new(Shared::clone(&value)),
-                bytes,
-            );
-        }
-        value
-    }
-
     /// Dissemination barrier: no rank leaves until every rank has entered.
     pub fn barrier(&mut self) {
         let n = self.size();
@@ -191,7 +169,8 @@ impl Comm {
     /// Binomial-tree broadcast of `value` from `root` to all ranks.
     ///
     /// Every rank passes its own `value` argument (ignored except at root,
-    /// as in MPI) and receives the root's value back.
+    /// as in MPI) and receives the root's value back. With a [`Shared`]
+    /// payload every rank's handle points at the root's one allocation.
     pub fn broadcast<T: Send + Clone + ByteSized + 'static>(&mut self, root: usize, value: T) -> T {
         let n = self.size();
         assert!(root < n, "broadcast root {root} out of range");
@@ -212,33 +191,6 @@ impl Comm {
         self.fan_out(seq, &children, value)
     }
 
-    /// Zero-copy binomial-tree broadcast: identical topology and seq/key
-    /// bookkeeping to [`Comm::broadcast`], but the payload travels as one
-    /// [`Shared`] handle per tree edge — no deep clones anywhere. Every
-    /// rank passes its own (ignored except at root) handle and receives
-    /// the root's, all pointing at the root's single allocation.
-    pub fn broadcast_shared<T: Send + Sync + ByteSized + 'static>(
-        &mut self,
-        root: usize,
-        value: Shared<T>,
-    ) -> Shared<T> {
-        let n = self.size();
-        assert!(root < n, "broadcast root {root} out of range");
-        let seq = self.next_seq();
-        if n == 1 {
-            return value;
-        }
-        let vrank = (self.rank() + n - root) % n;
-        let value = if vrank == 0 {
-            value
-        } else {
-            let (src, round) = self.bcast_source(root, vrank);
-            self.recv_keyed::<Shared<T>>(src, Self::coll_key(seq, round))
-        };
-        let children = self.bcast_children(root, vrank);
-        self.fan_out_shared(seq, &children, value)
-    }
-
     /// Linear broadcast (root sends to every rank): the naïve baseline.
     pub fn broadcast_linear<T: Send + Clone + ByteSized + 'static>(
         &mut self,
@@ -253,27 +205,6 @@ impl Comm {
             self.fan_out(seq, &dsts, value)
         } else {
             self.recv_keyed::<T>(root, Self::coll_key(seq, 0))
-        }
-    }
-
-    /// Zero-copy linear broadcast: the flat ablation baseline with a
-    /// [`Shared`] payload. Same destination list, sequence advance, and
-    /// round-0 keys as [`Comm::broadcast_linear`] (one envelope per
-    /// non-root rank, no extras), so the E17 flat-vs-tree-vs-shared
-    /// comparison is apples-to-apples.
-    pub fn broadcast_linear_shared<T: Send + Sync + ByteSized + 'static>(
-        &mut self,
-        root: usize,
-        value: Shared<T>,
-    ) -> Shared<T> {
-        let n = self.size();
-        assert!(root < n, "broadcast root {root} out of range");
-        let seq = self.next_seq();
-        if self.rank() == root {
-            let dsts = self.linear_dsts(root);
-            self.fan_out_shared(seq, &dsts, value)
-        } else {
-            self.recv_keyed::<Shared<T>>(root, Self::coll_key(seq, 0))
         }
     }
 
@@ -369,13 +300,14 @@ impl Comm {
         F: ReduceOp<T>,
     {
         match self.reduce(0, value, op) {
-            Some(t) => self.broadcast_shared(0, Shared::new(t)),
-            None => self.broadcast_shared_recv_only(0),
+            Some(t) => self.broadcast(0, Shared::new(t)),
+            None => self.broadcast_recv_only(0),
         }
     }
 
     /// Participate in a broadcast as a pure receiver (used by ranks that
-    /// have no value of their own, e.g. non-roots in [`Comm::allreduce`]).
+    /// have no value of their own, e.g. non-roots in [`Comm::allreduce`]
+    /// and [`Comm::allreduce_shared`]).
     fn broadcast_recv_only<T: Send + Clone + ByteSized + 'static>(&mut self, root: usize) -> T {
         let n = self.size();
         let seq = self.next_seq();
@@ -388,25 +320,6 @@ impl Comm {
         let value = self.recv_keyed::<T>(src, Self::coll_key(seq, round));
         let children = self.bcast_children(root, vrank);
         self.fan_out(seq, &children, value)
-    }
-
-    /// Shared-payload twin of [`Comm::broadcast_recv_only`], for non-root
-    /// ranks of [`Comm::allreduce_shared`].
-    fn broadcast_shared_recv_only<T: Send + Sync + ByteSized + 'static>(
-        &mut self,
-        root: usize,
-    ) -> Shared<T> {
-        let n = self.size();
-        let seq = self.next_seq();
-        let vrank = (self.rank() + n - root) % n;
-        debug_assert_ne!(
-            vrank, 0,
-            "root must call broadcast_shared, not broadcast_shared_recv_only"
-        );
-        let (src, round) = self.bcast_source(root, vrank);
-        let value = self.recv_keyed::<Shared<T>>(src, Self::coll_key(seq, round));
-        let children = self.bcast_children(root, vrank);
-        self.fan_out_shared(seq, &children, value)
     }
 
     /// Scatter: root distributes one chunk per rank; every rank (including
@@ -465,6 +378,9 @@ impl Comm {
     }
 
     /// Ring allgather: every rank ends with all contributions in rank order.
+    /// With [`Shared`] pieces each forward is an `Arc` clone of the handle
+    /// that arrived, so each rank's contribution is allocated once and
+    /// shared by all `n` ranks at the end.
     pub fn allgather<T: Send + Clone + ByteSized + 'static>(&mut self, value: T) -> Vec<T> {
         let n = self.size();
         let seq = self.next_seq();
@@ -480,34 +396,6 @@ impl Comm {
             self.send_keyed(next, Self::coll_key(seq, r as u32), Box::new(piece), bytes);
             let recv_origin = (prev + n - r) % n;
             let got = self.recv_keyed::<T>(prev, Self::coll_key(seq, r as u32));
-            out[recv_origin] = Some(got);
-        }
-        out.into_iter()
-            .map(|v| v.expect("allgather complete"))
-            .collect()
-    }
-
-    /// Zero-copy ring allgather: same ring, same `(seq, round)` keys as
-    /// [`Comm::allgather`], but every forwarded piece is an `Arc` clone of
-    /// the handle that arrived — each rank's contribution is allocated
-    /// once and shared by all `n` ranks at the end.
-    pub fn allgather_shared<T: Send + Sync + ByteSized + 'static>(
-        &mut self,
-        value: Shared<T>,
-    ) -> Vec<Shared<T>> {
-        let n = self.size();
-        let seq = self.next_seq();
-        let mut out: Vec<Option<Shared<T>>> = (0..n).map(|_| None).collect();
-        out[self.rank()] = Some(value);
-        let next = (self.rank() + 1) % n;
-        let prev = (self.rank() + n - 1) % n;
-        for r in 0..n.saturating_sub(1) {
-            let send_origin = (self.rank() + n - r) % n;
-            let piece = Shared::clone(out[send_origin].as_ref().expect("piece present to forward"));
-            let bytes = piece.approx_bytes() as u64;
-            self.send_keyed(next, Self::coll_key(seq, r as u32), Box::new(piece), bytes);
-            let recv_origin = (prev + n - r) % n;
-            let got = self.recv_keyed::<Shared<T>>(prev, Self::coll_key(seq, r as u32));
             out[recv_origin] = Some(got);
         }
         out.into_iter()
@@ -724,8 +612,8 @@ mod tests {
         });
     }
 
-    /// Run every broadcast/allgather variant on one cluster and require
-    /// the shared-payload results to be bit-identical to the clone path.
+    /// Run every broadcast/allgather on one cluster with a deep and a
+    /// [`Shared`] payload and require the results to be bit-identical.
     fn assert_shared_matches_clone<T>(n: usize, make: impl Fn(usize) -> T + Copy + Send + Sync)
     where
         T: Send + Sync + Clone + ByteSized + PartialEq + std::fmt::Debug + 'static,
@@ -734,11 +622,11 @@ mod tests {
             let out = Cluster::run(n, move |comm| {
                 let v = make(comm.rank());
                 let tree = comm.broadcast(root, v.clone());
-                let tree_shared = comm.broadcast_shared(root, Shared::new(v.clone()));
+                let tree_shared = comm.broadcast(root, Shared::new(v.clone()));
                 let lin = comm.broadcast_linear(root, v.clone());
-                let lin_shared = comm.broadcast_linear_shared(root, Shared::new(v.clone()));
+                let lin_shared = comm.broadcast_linear(root, Shared::new(v.clone()));
                 let ag = comm.allgather(v.clone());
-                let ag_shared = comm.allgather_shared(Shared::new(v));
+                let ag_shared = comm.allgather(Shared::new(v));
                 (tree, tree_shared, lin, lin_shared, ag, ag_shared)
             });
             for (tree, tree_shared, lin, lin_shared, ag, ag_shared) in out {
@@ -783,16 +671,28 @@ mod tests {
 
     #[test]
     fn shared_broadcast_moves_one_allocation() {
-        // The zero-copy guarantee itself: after a shared broadcast, every
-        // rank's handle points at the root's single allocation.
-        let out = Cluster::run(8, |comm| {
-            let shared = comm.broadcast_shared(0, Shared::new(vec![comm.rank() as u64; 8]));
-            Shared::as_ptr(&shared) as usize
+        // The zero-copy guarantee itself, on every collective that takes
+        // a `Shared` payload: no rank holds a copy of anybody's data.
+        let ptr = |a: &Shared<Vec<u64>>| Shared::as_ptr(a) as usize;
+        let out = Cluster::run(8, move |comm| {
+            let mine = Shared::new(vec![comm.rank() as u64; 8]);
+            let own = ptr(&mine);
+            let tree = comm.broadcast(0, Shared::clone(&mine));
+            let flat = comm.broadcast_linear(3, Shared::clone(&mine));
+            let pieces: Vec<usize> = comm.allgather(mine).iter().map(ptr).collect();
+            let total = comm.allreduce_shared(vec![comm.rank() as u64; 8], |a, b| {
+                a.iter().zip(&b).map(|(x, y)| x + y).collect()
+            });
+            (own, ptr(&tree), ptr(&flat), pieces, ptr(&total))
         });
-        assert!(
-            out.iter().all(|&p| p == out[0]),
-            "all ranks must share the root's allocation"
-        );
+        // Every rank's handle points at the source rank's allocation.
+        let own: Vec<usize> = out.iter().map(|o| o.0).collect();
+        for (rank, (_, tree, flat, pieces, total)) in out.iter().enumerate() {
+            assert_eq!(*tree, own[0], "rank {rank}: tree broadcast from 0");
+            assert_eq!(*flat, own[3], "rank {rank}: linear broadcast from 3");
+            assert_eq!(pieces, &own, "rank {rank}: allgather piece r is rank r's");
+            assert_eq!(*total, out[0].4, "rank {rank}: one allreduce_shared total");
+        }
     }
 
     #[test]
@@ -807,7 +707,7 @@ mod tests {
             comm.broadcast(0, v.clone());
             let clone_bytes = comm.bytes_sent() - before;
             let before = comm.bytes_sent();
-            comm.broadcast_shared(0, Shared::new(v));
+            comm.broadcast(0, Shared::new(v));
             let shared_bytes = comm.bytes_sent() - before;
             (clone_bytes, shared_bytes)
         });
@@ -831,7 +731,7 @@ mod tests {
             let (c0, b0) = (comm.sent_count(), comm.bytes_sent());
             comm.broadcast_linear(0, v.clone());
             let (c1, b1) = (comm.sent_count(), comm.bytes_sent());
-            comm.broadcast_linear_shared(0, Shared::new(v));
+            comm.broadcast_linear(0, Shared::new(v));
             let (c2, b2) = (comm.sent_count(), comm.bytes_sent());
             ((c1 - c0, b1 - b0), (c2 - c1, b2 - b1))
         });

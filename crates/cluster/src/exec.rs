@@ -104,26 +104,6 @@ impl Executor {
         }
     }
 
-    /// This backend refitted to a domain of `n` indices: chunk/rank
-    /// counts are clipped to [`Executor::parts_for`]`(n)` so that a
-    /// distribution built with `parts_for` satisfies the one-rank-per-part
-    /// contract of the `Cluster` backend even when `n` is smaller than the
-    /// configured rank count. The dataflow's executor-scheduled actions
-    /// shrink to their partition count; the fault plan rides along
-    /// unchanged.
-    pub fn shrink_to(&self, n: usize) -> Executor {
-        match self {
-            Executor::Seq => Executor::Seq,
-            Executor::Rayon { chunks } => Executor::Rayon {
-                chunks: (*chunks).min(n).max(1),
-            },
-            Executor::Cluster { ranks, plan } => Executor::Cluster {
-                ranks: (*ranks).min(n).max(1),
-                plan: plan.clone(),
-            },
-        }
-    }
-
     /// The decomposition width this backend asks of a domain of `n`
     /// indices: 1 for `Seq`, the requested chunk/rank count otherwise,
     /// clipped to `n` so distribution constructors accept it as-is.
@@ -142,37 +122,10 @@ impl Executor {
     ///
     /// `data.len()` must equal `dist.len()`; the slice passed to `f` is the
     /// part's own window of `data` (on `Cluster`, a scattered copy that is
-    /// gathered back verbatim).
-    pub fn map_parts_mut<D, T, A, F>(&self, dist: &D, data: &mut [T], f: F) -> Vec<A>
-    where
-        D: Contiguous + Sync,
-        T: Clone + Send + Sync + ByteSized + 'static,
-        A: Send + ByteSized + 'static,
-        F: Fn(usize, Range<usize>, &mut [T]) -> A + Send + Sync,
-    {
-        self.map_parts_mut_inner(dist, data, None, f)
-    }
-
-    /// [`Executor::map_parts_mut`] with communication counters: elements
-    /// scattered/gathered always, payload bytes only on the `Cluster`
-    /// backend (shared-memory backends move no bytes).
-    pub fn map_parts_mut_counted<D, T, A, F>(
-        &self,
-        dist: &D,
-        data: &mut [T],
-        stats: &CommStats,
-        f: F,
-    ) -> Vec<A>
-    where
-        D: Contiguous + Sync,
-        T: Clone + Send + Sync + ByteSized + 'static,
-        A: Send + ByteSized + 'static,
-        F: Fn(usize, Range<usize>, &mut [T]) -> A + Send + Sync,
-    {
-        self.map_parts_mut_inner(dist, data, Some(stats), f)
-    }
-
-    fn map_parts_mut_inner<D, T, A, F>(
+    /// gathered back verbatim). With `Some(stats)` the run is counted:
+    /// elements scattered/gathered always, payload bytes only on the
+    /// `Cluster` backend (shared-memory backends move no bytes).
+    pub fn map_parts_mut<D, T, A, F>(
         &self,
         dist: &D,
         data: &mut [T],
@@ -279,27 +232,9 @@ impl Executor {
     }
 
     /// Run `f(part, global_range)` over every part of `dist` (no shared
-    /// buffer) and return the per-part results in part order.
-    pub fn map_parts<D, A, F>(&self, dist: &D, f: F) -> Vec<A>
-    where
-        D: Contiguous + Sync,
-        A: Send + ByteSized + 'static,
-        F: Fn(usize, Range<usize>) -> A + Send + Sync,
-    {
-        self.map_parts_inner(dist, None, f)
-    }
-
-    /// [`Executor::map_parts`] with communication counters.
-    pub fn map_parts_counted<D, A, F>(&self, dist: &D, stats: &CommStats, f: F) -> Vec<A>
-    where
-        D: Contiguous + Sync,
-        A: Send + ByteSized + 'static,
-        F: Fn(usize, Range<usize>) -> A + Send + Sync,
-    {
-        self.map_parts_inner(dist, Some(stats), f)
-    }
-
-    fn map_parts_inner<D, A, F>(&self, dist: &D, stats: Option<&CommStats>, f: F) -> Vec<A>
+    /// buffer) and return the per-part results in part order, counted into
+    /// `stats` when given (see [`Executor::map_parts_mut`]).
+    pub fn map_parts<D, A, F>(&self, dist: &D, stats: Option<&CommStats>, f: F) -> Vec<A>
     where
         D: Contiguous + Sync,
         A: Send + ByteSized + 'static,
@@ -317,7 +252,7 @@ impl Executor {
                 .map(|p| f(p, dist.range_of(p)))
                 .collect(),
             Executor::Cluster { ranks, plan } => {
-                // See map_parts_mut_inner: parts ≤ ranks, extra ranks idle.
+                // See map_parts_mut: parts ≤ ranks, extra ranks idle.
                 assert!(
                     parts <= *ranks,
                     "cluster executor needs one rank per part (build the \
@@ -363,14 +298,18 @@ mod tests {
         for parts in [1usize, 2, 4, 7] {
             let dist = Block::new(n, parts);
             let mut seq_data = vec![0u64; n];
-            let seq = Executor::seq().map_parts_mut(&dist, &mut seq_data, sum_kernel);
+            let seq = Executor::seq().map_parts_mut(&dist, &mut seq_data, None, sum_kernel);
 
             let mut ray_data = vec![0u64; n];
-            let ray = Executor::rayon(parts).map_parts_mut(&dist, &mut ray_data, sum_kernel);
+            let ray = Executor::rayon(parts).map_parts_mut(&dist, &mut ray_data, None, sum_kernel);
 
             let mut clu_data = vec![0u64; n];
-            let clu =
-                Executor::cluster(dist.parts()).map_parts_mut(&dist, &mut clu_data, sum_kernel);
+            let clu = Executor::cluster(dist.parts()).map_parts_mut(
+                &dist,
+                &mut clu_data,
+                None,
+                sum_kernel,
+            );
 
             assert_eq!(seq, ray, "parts={parts}");
             assert_eq!(seq, clu, "parts={parts}");
@@ -383,7 +322,7 @@ mod tests {
     fn cluster_writes_mutations_back() {
         let dist = Block::new(10, 3);
         let mut data: Vec<u64> = (0..10).collect();
-        Executor::cluster(3).map_parts_mut(&dist, &mut data, |_, _, w| {
+        Executor::cluster(3).map_parts_mut(&dist, &mut data, None, |_, _, w| {
             for v in w.iter_mut() {
                 *v += 100;
             }
@@ -396,9 +335,9 @@ mod tests {
     fn merge_order_is_part_order() {
         let dist = EvenBlocks::new(10, 4);
         let mut data = vec![0u8; 10];
-        let parts = Executor::rayon(4).map_parts_mut(&dist, &mut data, |p, _, _| p);
+        let parts = Executor::rayon(4).map_parts_mut(&dist, &mut data, None, |p, _, _| p);
         assert_eq!(parts, vec![0, 1, 2, 3]);
-        let ranges = Executor::seq().map_parts(&dist, |_, r| r);
+        let ranges = Executor::seq().map_parts(&dist, None, |_, r| r);
         assert_eq!(ranges, vec![0..3, 3..6, 6..9, 9..10]);
     }
 
@@ -408,14 +347,14 @@ mod tests {
         let mut data = vec![0u64; 8];
 
         let s = CommStats::new();
-        Executor::rayon(2).map_parts_mut_counted(&dist, &mut data, &s, |_, _, _| 0u64);
+        Executor::rayon(2).map_parts_mut(&dist, &mut data, Some(&s), |_, _, _| 0u64);
         assert_eq!(s.scattered(), 8);
         assert_eq!(s.gathered(), 8);
         assert_eq!(s.collective_bytes(), 0, "borrows move no bytes");
         assert_eq!(s.bytes(), 0, "borrows move no measured bytes either");
 
         let s = CommStats::new();
-        Executor::cluster(2).map_parts_mut_counted(&dist, &mut data, &s, |_, _, _| 0u64);
+        Executor::cluster(2).map_parts_mut(&dist, &mut data, Some(&s), |_, _, _| 0u64);
         assert_eq!(s.scattered(), 8);
         assert_eq!(s.gathered(), 8);
         // Analytic estimate: 8 u64 scattered + 8 gathered back + 2 u64
@@ -428,7 +367,7 @@ mod tests {
 
         let s = CommStats::new();
         let dist3 = Block::new(9, 3);
-        Executor::cluster(3).map_parts_counted(&dist3, &s, |_, _| 0u64);
+        Executor::cluster(3).map_parts(&dist3, Some(&s), |_, _| 0u64);
         // Immutable path moves only the gathered results: two non-root
         // ranks each send one u64.
         assert_eq!(s.bytes(), 16);
@@ -438,35 +377,10 @@ mod tests {
     fn immutable_map_gathers_results() {
         let dist = Block::new(9, 3);
         for exec in [Executor::seq(), Executor::rayon(3), Executor::cluster(3)] {
-            let sums = exec.map_parts(&dist, |_, r| r.map(|i| i as u64).sum::<u64>());
+            let sums = exec.map_parts(&dist, None, |_, r| r.map(|i| i as u64).sum::<u64>());
             assert_eq!(sums.iter().sum::<u64>(), 36, "{exec:?}");
             assert_eq!(sums.len(), 3);
         }
-    }
-
-    #[test]
-    fn shrink_to_fits_small_domains() {
-        // A 4-rank cluster executor must be usable on a 2-element batch
-        // after shrinking: one rank per part, results identical to Seq.
-        let exec = Executor::cluster(4).shrink_to(2);
-        let dist = Block::new(2, exec.parts_for(2));
-        let sums = exec.map_parts(&dist, |_, r| r.map(|i| i as u64 + 1).sum::<u64>());
-        assert_eq!(sums.iter().sum::<u64>(), 3);
-        assert!(matches!(exec, Executor::Cluster { ranks: 2, .. }));
-        assert!(matches!(
-            Executor::rayon(8).shrink_to(3),
-            Executor::Rayon { chunks: 3 }
-        ));
-        assert!(matches!(Executor::seq().shrink_to(0), Executor::Seq));
-        // Shrinking never grows, and never drops below one part.
-        assert!(matches!(
-            Executor::cluster(4).shrink_to(0),
-            Executor::Cluster { ranks: 1, .. }
-        ));
-        assert!(matches!(
-            Executor::rayon(2).shrink_to(100),
-            Executor::Rayon { chunks: 2 }
-        ));
     }
 
     #[test]
@@ -478,10 +392,20 @@ mod tests {
         let dist = EvenBlocks::new(4, 3);
         assert_eq!(dist.parts(), 2);
         for exec in [Executor::cluster(3), Executor::rayon(3), Executor::seq()] {
-            let sums = exec.map_parts(&dist, |_, r| r.map(|i| i as u64).sum::<u64>());
+            let sums = exec.map_parts(&dist, None, |_, r| r.map(|i| i as u64).sum::<u64>());
             assert_eq!(sums.iter().sum::<u64>(), 6, "{exec:?}");
             assert_eq!(sums.len(), 2);
         }
+        // A domain smaller than the configured rank count: `parts_for`
+        // clips the width, so a 4-rank executor serves a 2-element batch
+        // on 2 ranks, unshrunk, with Seq's sums.
+        let exec = Executor::cluster(4);
+        let dist = Block::new(2, exec.parts_for(2));
+        let kernel = |_, r: Range<usize>| r.map(|i| i as u64 + 1).sum::<u64>();
+        let sums = exec.map_parts(&dist, None, kernel);
+        assert_eq!(sums, Executor::seq().map_parts(&dist, None, kernel));
+        assert_eq!(sums.iter().sum::<u64>(), 3);
+        assert_eq!(sums.len(), 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`RecvError`] is what the timeout-aware receives on
 //!   [`Comm`](crate::Comm) return instead of blocking forever.
 //! * [`RankError`] is the per-rank failure report produced by
-//!   [`Cluster::run_fallible`](crate::Cluster::run_fallible).
+//!   [`Cluster::run_with_plan`](crate::Cluster::run_with_plan).
 //! * [`RetryPolicy`] bounds the retry-with-reassignment loops built on
 //!   top (the task farm, the resilient MapReduce driver, the dataflow
 //!   partition executor).
@@ -253,7 +253,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (no faults) — what `run_fallible` uses.
+    /// An empty plan (no faults) — what [`Cluster::run`](crate::Cluster::run)
+    /// uses.
     pub fn none() -> Self {
         Self::default()
     }

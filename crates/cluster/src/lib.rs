@@ -30,13 +30,13 @@
 //! assignments teach.
 //!
 //! Beyond the happy path, the cluster is **failure-aware** (fail-stop
-//! model, see DESIGN.md "Failure model"): [`Cluster::run_fallible`] runs
+//! model, see DESIGN.md "Failure model"): [`Cluster::run_with_plan`] runs
 //! every rank under a supervisor that catches panics, broadcasts death
 //! notices so blocked peers wake instead of deadlocking, and reports a
-//! per-rank [`Result<T, RankError>`]. [`Cluster::run_with_plan`] injects
-//! reproducible transport chaos ([`FaultPlan`]: message drop / duplicate /
-//! reorder / delay plus scheduled rank death) for testing fault-tolerant
-//! protocols such as [`farm::task_farm`].
+//! per-rank [`Result<T, RankError>`]. Its [`FaultPlan`] injects
+//! reproducible transport chaos (message drop / duplicate / reorder /
+//! delay plus scheduled rank death) for testing fault-tolerant protocols
+//! such as [`farm::task_farm`]; [`FaultPlan::none`] gives a clean run.
 //!
 //! The crate also hosts the workspace's **distribution + executor layer**
 //! ([`dist`], [`exec`], [`stats`]): the single source of block/cyclic
@@ -95,16 +95,17 @@ pub struct Cluster;
 impl Cluster {
     /// Spawn `n` ranks, each executing `f(comm)` on its own thread.
     ///
-    /// The panicking convenience wrapper around [`Cluster::run_fallible`]:
-    /// if any rank fails, panics with the primary failure's report (rank
-    /// id + panic message) after all threads have been joined — mirroring
-    /// `mpirun` aborting the whole job and naming the guilty rank.
+    /// The panicking convenience wrapper around a clean
+    /// [`Cluster::run_with_plan`]: if any rank fails, panics with the
+    /// primary failure's report (rank id + panic message) after all threads
+    /// have been joined — mirroring `mpirun` aborting the whole job and
+    /// naming the guilty rank.
     pub fn run<T, F>(n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(&mut Comm) -> T + Send + Sync,
     {
-        let results = Self::run_fallible(n, f);
+        let results = Self::run_with_plan(n, &FaultPlan::none(), f);
         let mut out = Vec::with_capacity(results.len());
         let mut first_err: Option<RankError> = None;
         for r in results {
@@ -136,18 +137,11 @@ impl Cluster {
     /// [`RankErrorKind::PeerDead`] classification; timeout-aware receives
     /// get [`RecvError::PeerDead`]) — a failed job terminates instead of
     /// deadlocking.
-    pub fn run_fallible<T, F>(n: usize, f: F) -> Vec<Result<T, RankError>>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Send + Sync,
-    {
-        Self::run_with_plan(n, &FaultPlan::none(), f)
-    }
-
-    /// [`Cluster::run_fallible`] with reproducible transport chaos: every
-    /// rank's sends are filtered through `plan` (drop / duplicate /
+    ///
+    /// Every rank's sends are filtered through `plan` (drop / duplicate /
     /// reorder / delay per directed edge, plus scheduled fail-stop rank
-    /// deaths), seeded so the same plan replays the same faults.
+    /// deaths), seeded so the same plan replays the same faults;
+    /// [`FaultPlan::none`] gives a clean transport.
     pub fn run_with_plan<T, F>(n: usize, plan: &FaultPlan, f: F) -> Vec<Result<T, RankError>>
     where
         T: Send,
@@ -296,7 +290,7 @@ mod tests {
 
     #[test]
     fn run_fallible_reports_rank_and_message() {
-        let results = Cluster::run_fallible(3, |comm| {
+        let results = Cluster::run_with_plan(3, &FaultPlan::none(), |comm| {
             if comm.rank() == 1 {
                 panic!("boom at rank {}", comm.rank());
             }
@@ -313,7 +307,7 @@ mod tests {
     fn peer_blocked_on_dead_rank_wakes_up() {
         // Rank 1 dies before sending; rank 0 is blocked in recv and must
         // abort with a PeerDead classification instead of hanging.
-        let results = Cluster::run_fallible(2, |comm| {
+        let results = Cluster::run_with_plan(2, &FaultPlan::none(), |comm| {
             if comm.rank() == 0 {
                 comm.recv::<u32>(1, 0)
             } else {

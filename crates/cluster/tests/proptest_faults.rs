@@ -75,25 +75,25 @@ fn run_suite(n: usize, plan: FaultPlan) -> Vec<Result<Vec<i64>, RankError>> {
     with_watchdog(move || Cluster::run_with_plan(n, &plan, collective_suite))
 }
 
-/// The zero-copy (`Arc`-payload) collectives in one pass. Same digest idea
-/// as [`collective_suite`], but every payload travels as a shared envelope
+/// The collectives with zero-copy (`Arc`) payloads in one pass. Same digest
+/// idea as [`collective_suite`], but every payload travels as a shared envelope
 /// — the path where a fault plan's ghost duplicates must stay payload-free
 /// and drop/reorder/delay must act on the `Arc` envelope as a whole.
 fn shared_collective_suite(comm: &mut Comm) -> Vec<i64> {
     let rank = comm.rank();
     let mut digest = Vec::new();
-    let bc = comm.broadcast_shared(
+    let bc = comm.broadcast(
         0,
         Shared::new((0..8).map(|i| (i * 13) as i64).collect::<Vec<_>>()),
     );
     digest.push(bc.iter().sum());
-    let ag = comm.allgather_shared(Shared::new(vec![rank as i64 * 5; 3]));
+    let ag = comm.allgather(Shared::new(vec![rank as i64 * 5; 3]));
     digest.push(ag.iter().map(|piece| piece.iter().sum::<i64>()).sum());
     let ar = comm.allreduce_shared(vec![rank as i64, 1], |a, b| {
         a.iter().zip(&b).map(|(x, y)| x + y).collect()
     });
     digest.extend(ar.iter());
-    digest.push(*comm.broadcast_linear_shared(0, Shared::new(if rank == 0 { 11 } else { 0 })));
+    digest.push(*comm.broadcast_linear(0, Shared::new(if rank == 0 { 11 } else { 0 })));
     digest
 }
 

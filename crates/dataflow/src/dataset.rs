@@ -989,9 +989,8 @@ impl<T: Clone + Send + Sync + SpillRow + 'static> Dataset<T> {
     {
         self.prepare();
         let n = self.op.partitions();
-        let exec = exec.shrink_to(n);
         let dist = Block::new(n, exec.parts_for(n));
-        let groups: Vec<Vec<Vec<T>>> = exec.map_parts(&dist, |_, range| {
+        let groups: Vec<Vec<Vec<T>>> = exec.map_parts(&dist, None, |_, range| {
             range
                 .map(|i| take_rows(self.op.compute_partition_shared(i)))
                 .collect()
@@ -1009,9 +1008,8 @@ impl<T: Clone + Send + Sync + SpillRow + 'static> Dataset<T> {
     pub fn count_with(&self, exec: &Executor) -> usize {
         self.prepare();
         let n = self.op.partitions();
-        let exec = exec.shrink_to(n);
         let dist = Block::new(n, exec.parts_for(n));
-        let per_part: Vec<u64> = exec.map_parts(&dist, |_, range| {
+        let per_part: Vec<u64> = exec.map_parts(&dist, None, |_, range| {
             range
                 .map(|i| self.op.compute_partition_shared(i).len() as u64)
                 .sum::<u64>()
@@ -1591,7 +1589,14 @@ ReduceByKey[6 partitions] ~~~ shuffle elided (co-partitioned) ~~~
             .map(|x| x * 2)
             .filter(|&x| x % 3 != 0);
         let reference = ds.collect();
-        for exec in [Executor::seq(), Executor::rayon(3), Executor::cluster(4)] {
+        // `cluster(8)` is wider than the 6 partitions: `parts_for` clips
+        // the distribution, and the executor spawns one rank per part.
+        for exec in [
+            Executor::seq(),
+            Executor::rayon(3),
+            Executor::cluster(4),
+            Executor::cluster(8),
+        ] {
             assert_eq!(ds.collect_with(&exec), reference, "{exec:?}");
             assert_eq!(ds.count_with(&exec), reference.len(), "{exec:?}");
         }

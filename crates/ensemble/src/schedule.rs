@@ -73,7 +73,7 @@ pub fn distribute_training(
             members.sort_by_key(|(task, _)| *task);
             members
         });
-        comm.broadcast_shared(0, Shared::new(assembled.unwrap_or_default()))
+        comm.broadcast(0, Shared::new(assembled.unwrap_or_default()))
     });
     let shared = outputs.swap_remove(0);
     drop(outputs); // release the other ranks' handles so root's unwraps clean

@@ -37,7 +37,7 @@ pub fn solve_distributed(problem: &HeatProblem, locales: usize) -> Vec<f64> {
         // shared payload: the tree fan-out moves one `Arc` per edge, not
         // one copy of the full array per child. Each rank slices only its
         // own region out of the shared handle.
-        let ic = comm.broadcast_shared(
+        let ic = comm.broadcast(
             0,
             Shared::new(if l == 0 { initial.clone() } else { Vec::new() }),
         );

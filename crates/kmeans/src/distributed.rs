@@ -97,7 +97,7 @@ pub(crate) fn fit_on_cluster(
         // Zero-copy broadcast: the tree fan-out forwards one `Arc` per
         // edge instead of deep-cloning the centroid block per child; each
         // rank then takes its own mutable copy exactly once.
-        let centroids_shared = comm.broadcast_shared(
+        let centroids_shared = comm.broadcast(
             0,
             Shared::new(if rank == 0 {
                 init.as_slice().to_vec()

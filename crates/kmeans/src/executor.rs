@@ -12,10 +12,10 @@
 //! Assignments are **identical across all three backends** (the shared
 //! nearest-centroid kernel is decomposition-independent); centroids agree
 //! to rounding, each backend bit-identical to its standalone counterpart.
-//! [`fit_with_stats`] additionally reports comm-volume counters, which is
-//! what the E15 experiment compares across backends: shared-memory
-//! backends scatter/gather by borrowing (zero collective bytes), the
-//! cluster backend pays for every element it moves.
+//! With `Some(stats)`, [`fit_with`] also reports comm-volume counters,
+//! which is what the E15 experiment compares across backends:
+//! shared-memory backends scatter/gather by borrowing (zero collective
+//! bytes), the cluster backend pays for every element it moves.
 
 use peachy_cluster::{CommStats, Executor};
 use peachy_data::Matrix;
@@ -25,28 +25,9 @@ use crate::distributed::fit_on_cluster;
 use crate::seq::fit_seq;
 use crate::strategies::{fit_impl, Strategy, REDUCTION_CHUNKS};
 
-/// Run k-means on the chosen backend.
+/// Run k-means on the chosen backend, accumulating communication counters
+/// into `stats` when given.
 pub fn fit_with(
-    points: &Matrix,
-    config: &KMeansConfig,
-    init: Matrix,
-    exec: &Executor,
-) -> KMeansResult {
-    fit_with_opt_stats(points, config, init, exec, None)
-}
-
-/// [`fit_with`], also accumulating communication counters into `stats`.
-pub fn fit_with_stats(
-    points: &Matrix,
-    config: &KMeansConfig,
-    init: Matrix,
-    exec: &Executor,
-    stats: &CommStats,
-) -> KMeansResult {
-    fit_with_opt_stats(points, config, init, exec, Some(stats))
-}
-
-fn fit_with_opt_stats(
     points: &Matrix,
     config: &KMeansConfig,
     init: Matrix,
@@ -90,7 +71,7 @@ mod tests {
     fn seq_backend_is_fit_seq() {
         let data = gaussian_blobs(500, 2, 3, 0.7, 11);
         let init = random_init(&data.points, 3, 12);
-        let a = fit_with(&data.points, &cfg(), init.clone(), &Executor::seq());
+        let a = fit_with(&data.points, &cfg(), init.clone(), &Executor::seq(), None);
         let b = fit_seq(&data.points, &cfg(), init);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.centroids, b.centroids);
@@ -105,6 +86,7 @@ mod tests {
             &cfg(),
             init.clone(),
             &Executor::rayon(DEFAULT_CHUNKS),
+            None,
         );
         let b = fit(&data.points, &cfg(), init, Strategy::Reduction);
         assert_eq!(a.assignments, b.assignments);
@@ -115,7 +97,13 @@ mod tests {
     fn cluster_backend_is_fit_distributed() {
         let data = gaussian_blobs(700, 2, 3, 0.9, 15);
         let init = random_init(&data.points, 3, 16);
-        let a = fit_with(&data.points, &cfg(), init.clone(), &Executor::cluster(4));
+        let a = fit_with(
+            &data.points,
+            &cfg(),
+            init.clone(),
+            &Executor::cluster(4),
+            None,
+        );
         let b = crate::distributed::fit_distributed(&data.points, &cfg(), init, 4);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.centroids, b.centroids, "bit-identical to fit_distributed");
@@ -126,9 +114,15 @@ mod tests {
         for seed in [1u64, 2, 3] {
             let data = gaussian_blobs(900, 3, 4, 1.1, seed);
             let init = random_init(&data.points, 4, seed + 100);
-            let seq = fit_with(&data.points, &cfg(), init.clone(), &Executor::seq());
-            let ray = fit_with(&data.points, &cfg(), init.clone(), &Executor::rayon(64));
-            let clu = fit_with(&data.points, &cfg(), init, &Executor::cluster(3));
+            let seq = fit_with(&data.points, &cfg(), init.clone(), &Executor::seq(), None);
+            let ray = fit_with(
+                &data.points,
+                &cfg(),
+                init.clone(),
+                &Executor::rayon(64),
+                None,
+            );
+            let clu = fit_with(&data.points, &cfg(), init, &Executor::cluster(3), None);
             assert_eq!(seq.assignments, ray.assignments, "seed {seed}");
             assert_eq!(seq.assignments, clu.assignments, "seed {seed}");
             assert_eq!(seq.iterations, ray.iterations, "seed {seed}");
@@ -142,34 +136,34 @@ mod tests {
         let init = random_init(&data.points, 3, 18);
 
         let seq_stats = CommStats::new();
-        fit_with_stats(
+        fit_with(
             &data.points,
             &cfg(),
             init.clone(),
             &Executor::seq(),
-            &seq_stats,
+            Some(&seq_stats),
         );
         assert_eq!(seq_stats.collective_bytes(), 0);
         assert_eq!(seq_stats.scattered(), 0, "seq moves nothing");
 
         let ray_stats = CommStats::new();
-        fit_with_stats(
+        fit_with(
             &data.points,
             &cfg(),
             init.clone(),
             &Executor::rayon(64),
-            &ray_stats,
+            Some(&ray_stats),
         );
         assert!(ray_stats.scattered() > 0, "rayon partitions per iteration");
         assert_eq!(ray_stats.collective_bytes(), 0, "borrows move no bytes");
 
         let clu_stats = CommStats::new();
-        fit_with_stats(
+        fit_with(
             &data.points,
             &cfg(),
             init,
             &Executor::cluster(4),
-            &clu_stats,
+            Some(&clu_stats),
         );
         assert!(clu_stats.scattered() > 0);
         assert!(clu_stats.gathered() > 0);

@@ -53,7 +53,7 @@ pub mod strategies;
 
 pub use config::{KMeansConfig, KMeansResult, Termination};
 pub use distributed::{fit_distributed, fit_distributed_resilient, ResilientFit};
-pub use executor::{fit_with, fit_with_stats};
+pub use executor::fit_with;
 pub use gpu::{fit_gpu, GpuLaunch, GpuStrategy};
 pub use init::{kmeans_plus_plus, random_init};
 pub use locality::fit_buffers;

@@ -272,10 +272,7 @@ fn iter_reduction(
             sums,
         }
     };
-    let partials: Vec<IterStats> = match stats {
-        Some(s) => exec.map_parts_mut_counted(&dist, assignments, s, kernel),
-        None => exec.map_parts_mut(&dist, assignments, kernel),
-    };
+    let partials: Vec<IterStats> = exec.map_parts_mut(&dist, assignments, stats, kernel);
     // Ordered, sequential merge: deterministic whatever the pool size.
     let mut total = IterStats {
         changes: 0,

@@ -78,7 +78,7 @@ pub trait Service: Send + Sync + 'static {
             return Vec::new();
         }
         let dist = EvenBlocks::new(inputs.len(), exec.parts_for(inputs.len()));
-        exec.map_parts_counted(&dist, comm, |_, range| self.answer(&inputs[range]))
+        exec.map_parts(&dist, Some(comm), |_, range| self.answer(&inputs[range]))
             .into_iter()
             .flatten()
             .collect()

@@ -681,7 +681,7 @@ impl<S: ShardedService> Shards<S> {
                     peachy_cluster::EvenBlocks::new(alive.len(), exec.parts_for(alive.len()));
                 let service = &self.service;
                 let states = &self.states;
-                exec.map_parts_counted(&dist, self.stats.comm(), |_, range| {
+                exec.map_parts(&dist, Some(self.stats.comm()), |_, range| {
                     range
                         .map(|i| {
                             let b = &alive[i];

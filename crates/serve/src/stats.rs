@@ -3,7 +3,7 @@
 //! [`ServerStats`] *extends* the cluster layer's
 //! [`peachy_cluster::CommStats`] rather than duplicating it:
 //! the embedded comm block is what [`crate::Service::run_batch`] feeds
-//! through `map_parts_counted`, so one stats object answers both "what
+//! through `Executor::map_parts`, so one stats object answers both "what
 //! did the server do" (admission, batching, latency) and "what did the
 //! backend move" (scatter/gather elements, collective bytes).
 //!

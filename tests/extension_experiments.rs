@@ -189,7 +189,7 @@ fn e15_comm_volume_counters() {
     for exec in [Executor::seq(), Executor::rayon(64), Executor::cluster(4)] {
         let stats = CommStats::new();
         let result =
-            peachy::kmeans::fit_with_stats(&data.points, &config, init.clone(), &exec, &stats);
+            peachy::kmeans::fit_with(&data.points, &config, init.clone(), &exec, Some(&stats));
         runs.push((exec, result, stats));
     }
     // Identical assignments on every backend — the decomposition never
