@@ -6,8 +6,8 @@
 //! aggregation.
 //! E20: the out-of-core ablation — the same pipelines fully resident vs
 //! under a byte budget that forces partitions through disk spill.
-//! E22: the streaming ablation — spilled partitions consumed through the
-//! row cursor vs rebuilt whole on access (the strawman), on a fully
+//! E22: the streaming ablation — spilled partitions replayed one row at a
+//! time vs rebuilt whole on access (the strawman), on a fully
 //! skewed group-by whose one bucket dwarfs every source partition.
 
 use peachy::dataflow::{Dataset, KeyedDataset, OptimizerConfig};

@@ -466,11 +466,11 @@ fn main() {
         bench_rows.push(("spec_city.optimized".to_string(), optimized));
     }
 
-    println!("E22 — streaming ablation (cursor vs rebuild-on-access, median of 5):");
+    println!("E22 — streaming ablation (row replay vs rebuild-on-access, median of 5):");
     {
         // A fully skewed group-by: the single shuffle bucket dwarfs every
         // source partition, so the rebuild strawman's peak is the whole
-        // bucket while the streaming cursor's stays at the posted groups.
+        // bucket while streaming replay's stays at the posted groups.
         let iters = 5;
         let n = 16_000;
         let resident = e18::measure(iters, || {

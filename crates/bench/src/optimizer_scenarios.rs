@@ -77,7 +77,7 @@ pub fn spill_cfg(budget: u64) -> OptimizerConfig {
 }
 
 /// The E22 strawman: the same byte budget, but spilled partitions are
-/// rebuilt whole on access instead of streamed through a row cursor.
+/// rebuilt whole on access instead of replayed one row at a time.
 pub fn rebuild_cfg(budget: u64) -> OptimizerConfig {
     OptimizerConfig {
         spill_budget: Some(budget),

@@ -1,6 +1,6 @@
 //! The core lazy dataset: lineage nodes, narrow transformations, actions.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use peachy_cluster::dist::Block;
@@ -13,7 +13,7 @@ use crate::store::{PartitionStore, SpillRow, StoreConfig};
 
 /// A lineage node: something that can produce partition `i` on demand.
 ///
-/// Narrow operations pull the parent's partition, or have its rows pushed
+/// Narrow operations take the parent's partition, or have its rows pushed
 /// through them, and transform it — so a chain of narrow ops is one fused
 /// pass (a *stage*). Wide operations materialize all map-side output once,
 /// then serve bucketed partitions.
@@ -31,11 +31,15 @@ pub(crate) trait Op<T>: Lineage {
     /// wraps a freshly computed `Vec`, which a consumer that needs owned
     /// rows unwraps for free via [`take_rows`].
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>>;
-    /// Stream one partition's rows into `emit` — the push-based (fused)
-    /// evaluation path. Row-wise narrow ops override this to wrap `emit`
-    /// and forward to their parent, so a chain of such ops runs as one
-    /// composed pass with no intermediate `Vec`s. Everything else (the
-    /// default) materializes and replays — a fusion barrier.
+    /// Stream one partition's rows into `emit`, in order — the push-based
+    /// (fused) evaluation path, and the one way a consumer reads a
+    /// partition row by row. Row-wise narrow ops override this to wrap
+    /// `emit` and forward to their parent, so a chain of such ops runs as
+    /// one composed pass with no intermediate `Vec`s; store-backed ops
+    /// replay their store, so a spilled partition is decoded row by row
+    /// instead of rebuilt. Everything else (the default) materializes and
+    /// replays — a fusion barrier. Retry deliberately keeps the default
+    /// (atomicity — see `RetryOp`).
     fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T))
     where
         T: Clone,
@@ -43,19 +47,6 @@ pub(crate) trait Op<T>: Lineage {
         for row in take_rows(self.compute_partition_shared(idx)) {
             emit(row);
         }
-    }
-    /// Pull-based dual of [`Op::push_partition`]: an iterator over one
-    /// partition's rows, for consumers that drive the pace themselves
-    /// (shuffle posts merging several cursors). Store-backed ops override
-    /// this with their store's row cursor so a spilled partition is
-    /// decoded row-by-row instead of rebuilt; the default materializes and
-    /// drains. Retry deliberately keeps the default (atomicity — see
-    /// `RetryOp::push_partition`).
-    fn stream_partition(&self, idx: usize) -> Box<dyn Iterator<Item = T> + '_>
-    where
-        T: Clone + 'static,
-    {
-        Box::new(take_rows(self.compute_partition_shared(idx)).into_iter())
     }
 }
 
@@ -133,15 +124,6 @@ impl<T: SpillRow> AutoCache<T> {
     pub(crate) fn get_or_init(&self, idx: usize, compute: impl FnOnce() -> Vec<T>) -> Arc<Vec<T>> {
         self.store.get_or_init(idx, || Arc::new(compute()))
     }
-
-    /// A row cursor over an already-filled partition, if any — lets push
-    /// consumers replay a spilled cache cell without rebuilding it.
-    pub(crate) fn stream(&self, idx: usize) -> Option<crate::store::RowCursor<T>>
-    where
-        T: Clone,
-    {
-        self.store.stream(idx)
-    }
 }
 
 // ---------- source ----------
@@ -165,16 +147,11 @@ where
         self.parts.load(idx).expect("source parts prefilled")
     }
     fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
-        // Stream straight off the store cursor: resident rows are cloned
-        // one at a time (no whole-partition clone even when a fused chain
-        // consumes the source), and a spilled partition decodes row-by-row
-        // off its file — it is never rebuilt in memory just to be pushed.
-        for row in self.parts.stream(idx).expect("source parts prefilled") {
-            emit(row);
-        }
-    }
-    fn stream_partition(&self, idx: usize) -> Box<dyn Iterator<Item = T> + '_> {
-        Box::new(self.parts.stream(idx).expect("source parts prefilled"))
+        // Replay straight off the store: resident rows are cloned one at a
+        // time (no whole-partition clone even when a fused chain consumes
+        // the source), and a spilled partition decodes row-by-row off its
+        // file — it is never rebuilt in memory just to be pushed.
+        assert!(self.parts.replay(idx, emit), "source parts prefilled");
     }
 }
 
@@ -266,16 +243,12 @@ where
     }
     fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
         if self.auto.armed() {
-            // A filled (possibly spilled) cache cell replays through the
-            // cursor — no rebuild. The first consumer computes and fills.
-            if let Some(cursor) = self.auto.stream(idx) {
-                for row in cursor {
-                    emit(row);
+            // A filled (possibly spilled) cache cell replays from its store
+            // — no rebuild. The first consumer computes and fills.
+            if !self.auto.store.replay(idx, emit) {
+                for row in self.compute_partition_shared(idx).iter() {
+                    emit(row.clone());
                 }
-                return;
-            }
-            for row in self.compute_partition_shared(idx).iter() {
-                emit(row.clone());
             }
             return;
         }
@@ -287,17 +260,6 @@ where
                 emit(row);
             }
         }
-    }
-    fn stream_partition(&self, idx: usize) -> Box<dyn Iterator<Item = T> + '_> {
-        // An armed, filled cache cell replays through the cursor; anything
-        // else falls back to materialize-and-drain (the pull consumer
-        // cannot drive a push-fused chain without buffering it anyway).
-        if self.auto.armed() {
-            if let Some(cursor) = self.auto.stream(idx) {
-                return Box::new(cursor);
-            }
-        }
-        Box::new(take_rows(self.compute_partition_shared(idx)).into_iter())
     }
 }
 
@@ -452,7 +414,6 @@ impl<T: Send + Sync> Lineage for UnionOp<T> {
 struct CacheOp<T> {
     parent: Arc<dyn Op<T>>,
     store: PartitionStore<T>,
-    hits: AtomicU64,
 }
 
 impl<T: Clone + Send + Sync + SpillRow> Op<T> for CacheOp<T> {
@@ -460,32 +421,17 @@ impl<T: Clone + Send + Sync + SpillRow> Op<T> for CacheOp<T> {
         self.parent.partitions()
     }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
-        if self.store.is_filled(idx) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
         self.store
             .get_or_init(idx, || self.parent.compute_partition_shared(idx))
     }
     fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
-        // A filled cell (resident or spilled) replays through the cursor,
-        // so a spilled cache is never rebuilt just to be pushed downstream.
-        if let Some(cursor) = self.store.stream(idx) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            for row in cursor {
-                emit(row);
+        // A filled cell (resident or spilled) replays from the store, so a
+        // spilled cache is never rebuilt just to be pushed downstream.
+        if !self.store.replay(idx, emit) {
+            for row in self.compute_partition_shared(idx).iter() {
+                emit(row.clone());
             }
-            return;
         }
-        for row in self.compute_partition_shared(idx).iter() {
-            emit(row.clone());
-        }
-    }
-    fn stream_partition(&self, idx: usize) -> Box<dyn Iterator<Item = T> + '_> {
-        if let Some(cursor) = self.store.stream(idx) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Box::new(cursor);
-        }
-        Box::new(take_rows(self.compute_partition_shared(idx)).into_iter())
     }
 }
 
@@ -542,17 +488,11 @@ impl<T: Clone + Send + Sync + SpillRow> Op<T> for RepartitionOp<T> {
         self.store.load(idx).expect("repartition store filled")
     }
     fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
-        // A spilled output partition streams off its cursor instead of
-        // being rebuilt (the materialization barrier itself is inherent:
+        // A spilled output partition replays row by row instead of being
+        // rebuilt (the materialization barrier itself is inherent:
         // round-robin needs every input first).
         self.ensure_filled();
-        for row in self.store.stream(idx).expect("repartition store filled") {
-            emit(row);
-        }
-    }
-    fn stream_partition(&self, idx: usize) -> Box<dyn Iterator<Item = T> + '_> {
-        self.ensure_filled();
-        Box::new(self.store.stream(idx).expect("repartition store filled"))
+        assert!(self.store.replay(idx, emit), "repartition store filled");
     }
 }
 
@@ -585,7 +525,6 @@ impl<T: Clone + Send + Sync + SpillRow> Lineage for RepartitionOp<T> {
 struct RetryOp<T> {
     parent: Arc<dyn Op<T>>,
     policy: RetryPolicy,
-    retries: AtomicU64,
 }
 
 impl<T> RetryOp<T> {
@@ -601,7 +540,6 @@ impl<T> RetryOp<T> {
                     if attempt >= self.policy.max_attempts {
                         std::panic::resume_unwind(payload);
                     }
-                    self.retries.fetch_add(1, Ordering::Relaxed);
                     self.policy.sleep_before_retry(attempt);
                 }
             }
@@ -861,7 +799,6 @@ impl<T: Clone + Send + Sync + SpillRow + 'static> Dataset<T> {
             op: Arc::new(CacheOp {
                 parent: Arc::clone(&self.op),
                 store: PartitionStore::new(parts, self.store_cfg()),
-                hits: AtomicU64::new(0),
             }),
             opt: self.opt,
             stats: self.stats.clone(),
@@ -882,7 +819,6 @@ impl<T: Clone + Send + Sync + SpillRow + 'static> Dataset<T> {
             op: Arc::new(RetryOp {
                 parent: Arc::clone(&self.op),
                 policy,
-                retries: AtomicU64::new(0),
             }),
             opt: self.opt,
             stats: self.stats.clone(),
@@ -1115,6 +1051,7 @@ impl Dataset<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn from_text_splits_lines() {

@@ -135,7 +135,7 @@ where
         K: ByteSized,
         V: ByteSized,
         T: Clone + Send + Sync + SpillRow + 'static,
-        F: Fn(&mut dyn Iterator<Item = (K, V)>) -> Vec<T> + Send + Sync + 'static,
+        F: Fn(&mut dyn FnMut(&mut dyn FnMut((K, V)))) -> Vec<T> + Send + Sync + 'static,
     {
         let cfg = self.inner.store_cfg();
         if self.elides(partitions) {
@@ -193,11 +193,10 @@ where
         // pre-combined rows.
         let g = f.clone();
         let combined = self.combine_within_partitions(g);
-        let post = move |bucket: &mut dyn Iterator<Item = (K, V)>| {
-            fold_keyed(|emit| bucket.for_each(emit), |v| v, &f)
-        };
         KeyedDataset {
-            inner: combined.shuffle_with("ReduceByKey", partitions, post),
+            inner: combined.shuffle_with("ReduceByKey", partitions, move |bucket| {
+                fold_keyed(bucket, |v| v, &f)
+            }),
             stats: self.stats.clone(),
             partitioning: Partitioning::HashKeyed {
                 seed: ROUTE_SEED,
@@ -228,12 +227,11 @@ where
             // Per-partition folding keeps every key where it was.
             partitioning: self.partitioning,
         };
-        // Reduce side: merge accumulators.
-        let post = move |bucket: &mut dyn Iterator<Item = (K, A)>| {
-            fold_keyed(|emit| bucket.for_each(emit), |a| a, &comb)
-        };
         KeyedDataset {
-            inner: combined.shuffle_with("AggregateByKey", partitions, post),
+            // Reduce side: merge accumulators.
+            inner: combined.shuffle_with("AggregateByKey", partitions, move |bucket| {
+                fold_keyed(bucket, |a| a, &comb)
+            }),
             stats: self.stats.clone(),
             partitioning: Partitioning::HashKeyed {
                 seed: ROUTE_SEED,
@@ -260,15 +258,12 @@ where
         V: ByteSized,
     {
         let partitions = self.inner.num_partitions();
-        let post = move |bucket: &mut dyn Iterator<Item = (K, V)>| {
-            let mut groups: HashMap<K, Vec<V>> = HashMap::new();
-            for (k, v) in bucket {
-                groups.entry(k).or_default().push(v);
-            }
-            groups.into_iter().collect::<Vec<(K, Vec<V>)>>()
-        };
         KeyedDataset {
-            inner: self.shuffle_with("GroupByKey", partitions, post),
+            inner: self.shuffle_with("GroupByKey", partitions, |bucket| {
+                let mut groups: HashMap<K, Vec<V>> = HashMap::new();
+                bucket(&mut |(k, v)| groups.entry(k).or_default().push(v));
+                groups.into_iter().collect::<Vec<(K, Vec<V>)>>()
+            }),
             stats: self.stats.clone(),
             partitioning: Partitioning::HashKeyed {
                 seed: ROUTE_SEED,
@@ -306,7 +301,7 @@ where
         V: ByteSized,
         W: Clone + Send + Sync + ByteSized + SpillRow + 'static,
         T: Clone + Send + Sync + SpillRow + 'static,
-        F: Fn(&mut dyn Iterator<Item = (K, Either<V, W>)>) -> Vec<T> + Send + Sync + 'static,
+        F: Fn(&mut dyn FnMut(&mut dyn FnMut((K, Either<V, W>)))) -> Vec<T> + Send + Sync + 'static,
     {
         if self.elides(partitions) && other.elides(partitions) {
             let left = self.inner.map(|(k, v)| (k, Either::Left(v)));
@@ -342,7 +337,9 @@ where
             .num_partitions()
             .max(other.inner.num_partitions());
         KeyedDataset {
-            inner: self.join_shuffle("Join", other, partitions, join_bucket),
+            // A closure, not the fn item: the post must take pushed rows of
+            // every lifetime, which a generic fn instantiates for only one.
+            inner: self.join_shuffle("Join", other, partitions, |bucket| join_bucket(bucket)),
             stats: self.stats.clone(),
             partitioning: Partitioning::HashKeyed {
                 seed: ROUTE_SEED,
@@ -364,7 +361,9 @@ where
             .num_partitions()
             .max(other.inner.num_partitions());
         KeyedDataset {
-            inner: self.join_shuffle("LeftJoin", other, partitions, left_join_bucket),
+            inner: self.join_shuffle("LeftJoin", other, partitions, |bucket| {
+                left_join_bucket(bucket)
+            }),
             stats: self.stats.clone(),
             partitioning: Partitioning::HashKeyed {
                 seed: ROUTE_SEED,
@@ -558,7 +557,7 @@ fn fold_keyed<K: Hash + Eq, V, A>(
 /// The inner-join post: every `(v, w)` pair of each key, left keys by
 /// first arrival, then left values by arrival, then right values by
 /// arrival.
-fn join_bucket<K, V, W>(bucket: &mut dyn Iterator<Item = (K, Either<V, W>)>) -> Vec<(K, (V, W))>
+fn join_bucket<K, V, W>(bucket: impl FnOnce(&mut dyn FnMut((K, Either<V, W>)))) -> Vec<(K, (V, W))>
 where
     K: Clone + Hash + Eq,
     V: Clone,
@@ -580,7 +579,7 @@ where
 /// The left-outer-join post: [`join_bucket`]'s rows and order, with
 /// `(v, None)` in place of the pairs of a left key no right value matches.
 fn left_join_bucket<K, V, W>(
-    bucket: &mut dyn Iterator<Item = (K, Either<V, W>)>,
+    bucket: impl FnOnce(&mut dyn FnMut((K, Either<V, W>))),
 ) -> Vec<(K, (V, Option<W>))>
 where
     K: Clone + Hash + Eq,
@@ -618,13 +617,13 @@ struct JoinBucket<K, V, W> {
 }
 
 impl<K: Hash + Eq, V, W> JoinBucket<K, V, W> {
-    fn new(bucket: &mut dyn Iterator<Item = (K, Either<V, W>)>) -> Self {
+    fn new(bucket: impl FnOnce(&mut dyn FnMut((K, Either<V, W>)))) -> Self {
         let mut ids: HashMap<K, u32> = HashMap::new();
         let mut has_left: Vec<bool> = Vec::new();
         let mut left_keys = Vec::new();
         let mut left = Vec::new();
         let mut right = Vec::new();
-        for (k, side) in bucket {
+        bucket(&mut |(k, side)| {
             let fresh = ids.len() as u32;
             let id = *ids.entry(k).or_insert(fresh);
             if id == fresh {
@@ -639,7 +638,7 @@ impl<K: Hash + Eq, V, W> JoinBucket<K, V, W> {
                 }
                 Either::Right(w) => right.push((id, w)),
             }
-        }
+        });
         let mut keys: Vec<Option<K>> = (0..ids.len()).map(|_| None).collect();
         for (k, id) in ids {
             keys[id as usize] = Some(k);
@@ -1094,7 +1093,7 @@ mod tests {
                 .map(|(k, (v, w))| (k, (v, w.expect("inner rows match"))))
                 .collect();
             assert_eq!(
-                join_bucket(&mut bucket.clone().into_iter()),
+                join_bucket(|emit| bucket.iter().cloned().for_each(emit)),
                 inner,
                 "seed {seed}"
             );
@@ -1105,7 +1104,7 @@ mod tests {
                 "seed {seed}: unmatched left keys"
             );
             assert_eq!(
-                left_join_bucket(&mut bucket.into_iter()),
+                left_join_bucket(|emit| bucket.iter().cloned().for_each(emit)),
                 outer,
                 "seed {seed}"
             );

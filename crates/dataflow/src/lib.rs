@@ -49,13 +49,13 @@
 //!   are spilled to temp files in a deterministic encoding and streamed
 //!   back on access — results stay bit-identical at every budget, and
 //!   [`ShuffleStats`] meters the spill traffic.
-//! * **Streaming out-of-core execution** — spilled partitions are consumed
-//!   through a row [`store::RowCursor`] instead of being rebuilt in memory:
-//!   fused narrow chains, the shuffle's route/fill passes (writing through
-//!   [`store::SpillSink`]s) and the merge-side posts all pull rows straight
-//!   off disk. A deterministic high-water meter
-//!   (`ShuffleStats::peak_resident_bytes`) proves the residency win, and
-//!   the plan report renders which nodes stream.
+//! * **Streaming out-of-core execution** — spilled partitions are replayed
+//!   row by row ([`store::PartitionStore::replay`]) instead of being
+//!   rebuilt in memory: fused narrow chains, the shuffle's route/fill
+//!   passes (writing through [`store::SpillSink`]s) and the merge-side
+//!   posts all take rows pushed straight off disk. A deterministic
+//!   high-water meter (`ShuffleStats::peak_resident_bytes`) proves the
+//!   residency win, and the plan report renders which nodes stream.
 //!
 //! ```
 //! use peachy_dataflow::Dataset;
@@ -82,6 +82,4 @@ pub use optimize::{OptimizerConfig, PlanReport};
 pub use peachy_cluster::{ByteSized, RetryPolicy};
 pub use plan::{Partitioning, PlanKind, PlanNode};
 pub use shuffle::ShuffleStats;
-pub use store::{
-    PartitionStore, Residency, RowCursor, SpillReader, SpillRow, SpillSink, StoreConfig,
-};
+pub use store::{PartitionStore, Residency, SpillReader, SpillRow, SpillSink, StoreConfig};

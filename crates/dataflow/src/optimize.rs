@@ -57,18 +57,10 @@ pub struct OptimizerConfig {
     /// (sources, caches, shuffle buckets, memoized posts). `None` keeps
     /// everything in RAM — exactly the pre-spill behavior.
     pub spill_budget: Option<u64>,
-    /// Make the auto-cache cost model spill-aware: a subtree whose cache
-    /// would blow the whole budget (and therefore wholly spill) charges
-    /// replay-read bytes comparable to recomputing, so it is not armed —
-    /// unless [`OptimizerConfig::stream_spills`] is on, in which case the
-    /// spilled cache replays through the cursor at bounded memory and is
-    /// still cheaper than recomputing an arbitrary upstream chain.
-    pub charge_spill_reads: bool,
-    /// Consume spilled partitions through the streaming cursor (the
-    /// default): fused chains and shuffle passes pull decoded rows straight
-    /// off the spill file instead of rebuilding the partition as one `Vec`.
-    /// Off, every spilled read is a full rebuild — the measurable strawman
-    /// E22 ablates against.
+    /// Replay spilled partitions row by row (the default): fused chains and
+    /// shuffle passes take decoded rows straight off the spill file instead
+    /// of rebuilding the partition as one `Vec`. Off, every spilled read is
+    /// a full rebuild — the measurable strawman E22 ablates against.
     pub stream_spills: bool,
 }
 
@@ -79,7 +71,6 @@ impl Default for OptimizerConfig {
             elide_shuffles: true,
             auto_cache: true,
             spill_budget: None,
-            charge_spill_reads: true,
             stream_spills: true,
         }
     }
@@ -94,7 +85,6 @@ impl OptimizerConfig {
             elide_shuffles: false,
             auto_cache: false,
             spill_budget: None,
-            charge_spill_reads: false,
             stream_spills: false,
         }
     }
@@ -136,38 +126,26 @@ pub(crate) fn arm_auto_caches(root: &dyn Lineage, cfg: &OptimizerConfig) {
     if !cfg.auto_cache {
         return;
     }
-    let mut visited = HashSet::new();
-    arm_walk(root, cfg, &mut visited);
+    arm_walk(root, &mut HashSet::new());
 }
 
-fn arm_walk(node: &dyn Lineage, cfg: &OptimizerConfig, visited: &mut HashSet<usize>) {
+fn arm_walk(node: &dyn Lineage, visited: &mut HashSet<usize>) {
     if let Some(total) = node.note_consumed() {
-        if total >= 2 {
-            // Worth caching: big enough to beat recomputation, but not so
-            // big that the whole cache would spill under the byte budget —
-            // a wholly spilled cache *rebuilt* from disk on every consumer
-            // is priced like recomputing. With streaming on, a spilled
-            // cache replays through the cursor at bounded memory (no
-            // rebuild), so the cost model stops charging the full unspill
-            // and arms it anyway.
-            let worth = match node.est_cache_bytes() {
-                None => true,
-                Some(b) => {
-                    b >= AUTO_CACHE_MIN_BYTES
-                        && !(cfg.charge_spill_reads
-                            && !cfg.stream_spills
-                            && cfg.spill_budget.is_some_and(|budget| b > budget))
-                }
-            };
-            if worth {
-                node.arm_auto_cache();
-            }
+        // Worth caching: big enough to beat recomputation. The byte budget
+        // does not enter: a cache that spills is replayed from disk rather
+        // than recomputed, under either read mode.
+        if total >= 2
+            && node
+                .est_cache_bytes()
+                .is_none_or(|b| b >= AUTO_CACHE_MIN_BYTES)
+        {
+            node.arm_auto_cache();
         }
     }
     if !visited.insert(node.lineage_id()) {
         return;
     }
-    node.lineage_children(&mut |child| arm_walk(child, cfg, visited));
+    node.lineage_children(&mut |child| arm_walk(child, visited));
 }
 
 /// What the optimizer did (and would have done) to one plan: rendered
@@ -199,8 +177,8 @@ pub struct PlanReport {
     pub spilled_bytes: u64,
     /// Estimated bytes that will spill in stores that have not filled yet.
     pub predicted_spill_bytes: u64,
-    /// Nodes whose spilled partitions are consumed through the streaming
-    /// cursor (never rebuilt as one `Vec`) rather than rebuilt on access.
+    /// Nodes whose spilled partitions are replayed row by row (never
+    /// rebuilt as one `Vec`) rather than rebuilt on access.
     pub streamed_nodes: usize,
 }
 

@@ -153,11 +153,11 @@ where
         // resident bucket gets — without ever concatenating in RAM.
         for (p, &spill_p) in spill.iter().enumerate() {
             if spill_p {
-                self.buckets.fill_spilled(
-                    p,
-                    counts[p],
-                    per_input.iter().flat_map(|(input, _)| input[p].iter()),
-                );
+                let mut sink = self.buckets.spill_sink(p, counts[p]);
+                for (input, _) in &per_input {
+                    input[p].iter().for_each(|row| sink.push(row));
+                }
+                sink.finish();
             }
         }
         // Resident buckets merge per-input shares into exact-capacity
@@ -198,7 +198,7 @@ where
     /// The cost is running the upstream chain twice, which is exactly the
     /// engine's lineage-recompute contract (row closures are pure;
     /// anything effectful sits behind a cache or retry barrier, whose
-    /// stores replay pass 2 from their cursor instead of recomputing).
+    /// stores replay pass 2 instead of recomputing).
     fn route_streaming(&self) -> (Vec<usize>, Vec<u64>) {
         let n_in = self.parent.partitions();
         let per_input: Vec<(Vec<usize>, Vec<u64>)> = (0..n_in)
@@ -259,7 +259,7 @@ where
     K: Clone + Send + Sync + Hash + Eq + ByteSized + SpillRow + 'static,
     V: Clone + Send + Sync + ByteSized + SpillRow + 'static,
     T: Clone + Send + Sync + SpillRow + 'static,
-    F: Fn(&mut dyn Iterator<Item = (K, V)>) -> Vec<T> + Send + Sync,
+    F: Fn(&mut dyn FnMut(&mut dyn FnMut((K, V)))) -> Vec<T> + Send + Sync,
 {
     fn partitions(&self) -> usize {
         self.partitions
@@ -267,26 +267,23 @@ where
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
         self.posted.get_or_init(idx, || {
             self.route();
-            // The merge pass pulls the bucket through the store cursor:
-            // resident rows clone out one at a time, a spilled bucket
-            // decodes row-by-row — it is never rebuilt as one `Vec` just
-            // to be grouped.
-            let mut bucket = self.buckets.stream(idx).expect("route filled every bucket");
-            Arc::new((self.post)(&mut bucket))
+            // The merge pass replays the bucket out of its store: resident
+            // rows clone out one at a time, a spilled bucket decodes
+            // row-by-row — it is never rebuilt as one `Vec` just to be
+            // grouped.
+            Arc::new((self.post)(&mut |emit| {
+                assert!(self.buckets.replay(idx, emit), "route filled every bucket");
+            }))
         })
     }
     fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
-        for row in self.stream_partition(idx) {
-            emit(row);
+        // A filled memoized post replays from its store (a spilled post
+        // cell streams); the first consumer computes and fills.
+        if !self.posted.replay(idx, emit) {
+            for row in take_rows(self.compute_partition_shared(idx)) {
+                emit(row);
+            }
         }
-    }
-    fn stream_partition(&self, idx: usize) -> Box<dyn Iterator<Item = T> + '_> {
-        // A filled memoized post replays through its cursor (a spilled
-        // post cell streams); the first consumer computes and fills.
-        if let Some(cursor) = self.posted.stream(idx) {
-            return Box::new(cursor);
-        }
-        Box::new(take_rows(self.compute_partition_shared(idx)).into_iter())
     }
 }
 
@@ -295,7 +292,7 @@ where
     K: Clone + Send + Sync + Hash + Eq + ByteSized + SpillRow + 'static,
     V: Clone + Send + Sync + ByteSized + SpillRow + 'static,
     T: Clone + Send + Sync + SpillRow + 'static,
-    F: Fn(&mut dyn Iterator<Item = (K, V)>) -> Vec<T> + Send + Sync,
+    F: Fn(&mut dyn FnMut(&mut dyn FnMut((K, V)))) -> Vec<T> + Send + Sync,
 {
     fn plan(&self) -> PlanNode {
         let measured = self
@@ -377,7 +374,7 @@ impl<R, T, F> Op<T> for ElidedShuffleOp<R, T, F>
 where
     R: Clone + Send + Sync + 'static,
     T: Clone + Send + Sync + SpillRow + 'static,
-    F: Fn(&mut dyn Iterator<Item = R>) -> Vec<T> + Send + Sync,
+    F: Fn(&mut dyn FnMut(&mut dyn FnMut(R))) -> Vec<T> + Send + Sync,
 {
     fn partitions(&self) -> usize {
         self.partitions
@@ -389,30 +386,24 @@ where
                     stats.add_elided_shuffle();
                 }
             });
-            // Chain the parents' partition-`idx` cursors (left before
-            // right, matching the union order a naive shuffle's bucket
-            // receives) — a parent whose partition spilled streams rather
-            // than rebuilds.
-            for parent in &self.parents {
-                debug_assert_eq!(parent.partitions(), self.partitions);
-            }
-            let mut rows = self
-                .parents
-                .iter()
-                .flat_map(|parent| parent.stream_partition(idx));
-            Arc::new((self.post)(&mut rows))
+            // Push the parents' partition `idx` in parent order (left
+            // before right, matching the union order a naive shuffle's
+            // bucket receives) — a parent whose partition spilled streams
+            // rather than rebuilds.
+            Arc::new((self.post)(&mut |emit| {
+                for parent in &self.parents {
+                    debug_assert_eq!(parent.partitions(), self.partitions);
+                    parent.push_partition(idx, emit);
+                }
+            }))
         })
     }
     fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
-        for row in self.stream_partition(idx) {
-            emit(row);
+        if !self.posted.replay(idx, emit) {
+            for row in take_rows(self.compute_partition_shared(idx)) {
+                emit(row);
+            }
         }
-    }
-    fn stream_partition(&self, idx: usize) -> Box<dyn Iterator<Item = T> + '_> {
-        if let Some(cursor) = self.posted.stream(idx) {
-            return Box::new(cursor);
-        }
-        Box::new(take_rows(self.compute_partition_shared(idx)).into_iter())
     }
 }
 
@@ -420,7 +411,7 @@ impl<R, T, F> Lineage for ElidedShuffleOp<R, T, F>
 where
     R: Clone + Send + Sync + 'static,
     T: Clone + Send + Sync + SpillRow + 'static,
-    F: Fn(&mut dyn Iterator<Item = R>) -> Vec<T> + Send + Sync,
+    F: Fn(&mut dyn FnMut(&mut dyn FnMut(R))) -> Vec<T> + Send + Sync,
 {
     fn plan(&self) -> PlanNode {
         let est_bytes = Lineage::est_rows(self).map(|r| r * std::mem::size_of::<T>() as u64);
@@ -461,6 +452,22 @@ mod tests {
     use crate::dataset::Dataset;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// Every row `rows` pushes, in order: the identity post.
+    fn pushed<R>(rows: impl FnOnce(&mut dyn FnMut(R))) -> Vec<R> {
+        let mut out = Vec::new();
+        rows(&mut |row| out.push(row));
+        out
+    }
+
+    /// Gives a test post the signature a shuffle takes, so that it accepts
+    /// pushed rows of every lifetime.
+    fn post<F>(f: F) -> F
+    where
+        F: Fn(&mut dyn FnMut(&mut dyn FnMut((u64, u64)))) -> Vec<(u64, u64)>,
+    {
+        f
+    }
+
     #[test]
     fn post_runs_once_per_partition_across_actions() {
         let rows: Vec<(u64, u64)> = (0..40).map(|i| (i % 5, i)).collect();
@@ -471,10 +478,10 @@ mod tests {
         let op = ShuffleOp {
             parent: Arc::clone(&ds.op),
             partitions,
-            post: move |bucket: &mut dyn Iterator<Item = (u64, u64)>| {
+            post: post(move |bucket| {
                 c.fetch_add(1, Ordering::Relaxed);
-                bucket.collect()
-            },
+                pushed(bucket)
+            }),
             name: "Identity",
             stats: None,
             stage_id: crate::plan::next_stage_id(),
@@ -515,7 +522,7 @@ mod tests {
         let op = ShuffleOp {
             parent: Arc::clone(&ds.op),
             partitions: 2,
-            post: |bucket: &mut dyn Iterator<Item = (u64, u64)>| bucket.collect(),
+            post: post(|bucket| pushed(bucket)),
             name: "Identity",
             stats: Some(Arc::clone(&stats)),
             stage_id: crate::plan::next_stage_id(),
@@ -553,7 +560,7 @@ mod tests {
         let op = ElidedShuffleOp {
             parents: vec![Arc::clone(&left.op), Arc::clone(&right.op)],
             partitions,
-            post: |rows: &mut dyn Iterator<Item = (u64, u64)>| rows.collect(),
+            post: post(|bucket| pushed(bucket)),
             name: "Identity",
             stats: Some(Arc::clone(&stats)),
             stage_id: crate::plan::next_stage_id(),

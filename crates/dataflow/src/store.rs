@@ -35,18 +35,18 @@
 //! # Streaming consumption
 //!
 //! Reading a spilled partition through [`PartitionStore::load`] rebuilds
-//! it as one `Vec` — the budget bounds storage, not execution. The cursor
-//! API ([`PartitionStore::stream`]) fixes that: it hands out a
-//! [`RowCursor`] that decodes rows one at a time off a buffered file
-//! reader (each row is length-prefixed in the spill format precisely so
-//! the cursor can chunk its reads), and [`PartitionStore::spill_sink`]
-//! is the write-side dual — rows are encoded straight to disk as a
-//! producer pushes them, never concatenated in RAM. With
-//! `StoreConfig::stream` set (the default), fused narrow chains and the
-//! shuffle's route/merge passes pull from the cursor, so peak resident
-//! memory stays bounded by the budget even *during* consumption. With it
-//! cleared the cursor degrades to rebuild-on-access — the measurable
-//! strawman E22 ablates against.
+//! it as one `Vec` — the budget bounds storage, not execution.
+//! [`PartitionStore::replay`] fixes that: it pushes a slot's rows into a
+//! consumer's sink, decoding a spilled slot one row at a time off a
+//! buffered file reader (each row is length-prefixed in the spill format
+//! precisely so the reads can be chunked), and
+//! [`PartitionStore::spill_sink`] is the write-side dual — rows are
+//! encoded straight to disk as a producer pushes them, never concatenated
+//! in RAM. With `StoreConfig::stream` set (the default), fused narrow
+//! chains and the shuffle's route/merge passes read through `replay`, so
+//! peak resident memory stays bounded by the budget even *during*
+//! consumption. With it cleared `replay` rebuilds the partition first —
+//! the measurable strawman E22 ablates against.
 //!
 //! Spill and unspill traffic is metered through the `CommStats` block
 //! ([`CommStats::add_spill`] / [`CommStats::add_unspill`]), and every
@@ -216,8 +216,8 @@ impl SpillRow for String {
 ///
 /// Decoding a `&'static str` has to mint a `'static` string from file
 /// bytes, which means leaking — but leaking *per decode* would grow
-/// memory without bound as the same spilled partition is replayed (the
-/// streaming cursor replays on every pass). The cache leaks each distinct
+/// memory without bound as the same spilled partition is replayed (a
+/// streaming store replays it on every pass). The cache leaks each distinct
 /// string exactly once; every later decode of the same bytes returns the
 /// same pointer.
 fn intern_static_str(s: &str) -> &'static str {
@@ -331,10 +331,10 @@ pub struct StoreConfig {
     pub budget: Option<u64>,
     /// Counter block charged for spill writes and unspill reads.
     pub stats: Option<Arc<CommStats>>,
-    /// Serve spilled partitions through the streaming cursor (the
-    /// default). Cleared, [`PartitionStore::stream`] degrades to
-    /// rebuild-on-access — the E22 strawman. Irrelevant without a budget
-    /// (nothing ever spills).
+    /// Replay spilled partitions row by row (the default). Cleared,
+    /// [`PartitionStore::replay`] rebuilds each spilled partition first —
+    /// the E22 strawman. Irrelevant without a budget (nothing ever
+    /// spills).
     pub stream: bool,
 }
 
@@ -452,9 +452,8 @@ impl<T> PartitionStore<T> {
         self.dir.get().map(PathBuf::as_path)
     }
 
-    /// Does this store serve spilled partitions through the streaming
-    /// cursor? (Budgeted + `stream` — the route/merge passes pick their
-    /// strategy off this.)
+    /// Does this store replay spilled partitions row by row? (Budgeted +
+    /// `stream` — the route/merge passes pick their strategy off this.)
     pub fn streams(&self) -> bool {
         self.cfg.budget.is_some() && self.cfg.stream
     }
@@ -575,19 +574,6 @@ impl<T: SpillRow> PartitionStore<T> {
         }
     }
 
-    /// Fill slot `idx` by streaming `rows` straight to disk — the rows are
-    /// never concatenated in RAM (shuffle buckets encode directly from the
-    /// per-input buckets).
-    pub fn fill_spilled<'a>(&self, idx: usize, row_count: usize, rows: impl Iterator<Item = &'a T>)
-    where
-        T: 'a,
-    {
-        let slot = self.spill(idx, row_count, rows);
-        if self.cells[idx].set(slot).is_err() {
-            panic!("fill_spilled: slot {idx} already filled");
-        }
-    }
-
     /// Serve slot `idx`, computing it on first access (the lazy-holder
     /// path: caches and memoized posts). Placement follows the fair-share
     /// rule; the first fill returns the just-computed rows from RAM even
@@ -631,7 +617,7 @@ impl<T: SpillRow> PartitionStore<T> {
     where
         T: 'a,
     {
-        let mut sink = self.open_sink(idx, row_count);
+        let mut sink = self.spill_sink(idx, row_count);
         for row in rows {
             sink.push(row);
         }
@@ -640,14 +626,10 @@ impl<T: SpillRow> PartitionStore<T> {
 
     /// Open an incremental spill writer for slot `idx` (`row_count` rows
     /// must be pushed before [`SpillSink::finish`]). The write-side dual
-    /// of [`PartitionStore::stream`]: the streaming shuffle routes rows
-    /// into sinks as they are produced, so no spilled bucket is ever
-    /// concatenated in RAM.
+    /// of [`PartitionStore::replay`]: the shuffle routes rows into sinks
+    /// as they are produced, so no spilled bucket is ever concatenated in
+    /// RAM.
     pub fn spill_sink(&self, idx: usize, row_count: usize) -> SpillSink<'_, T> {
-        self.open_sink(idx, row_count)
-    }
-
-    fn open_sink(&self, idx: usize, row_count: usize) -> SpillSink<'_, T> {
         let path = self.dir().join(format!("part-{idx}.bin"));
         let file = File::create(&path)
             .unwrap_or_else(|e| panic!("spill store: create {}: {e}", path.display()));
@@ -666,58 +648,67 @@ impl<T: SpillRow> PartitionStore<T> {
         }
     }
 
-    /// A cursor over slot `idx`'s rows, if it has been filled.
+    /// Push slot `idx`'s rows into `emit`, in order; `false`, with nothing
+    /// pushed, while the slot is unfilled.
     ///
-    /// Resident slots iterate the shared rows (one clone per row — the
-    /// same copies a consumer of [`PartitionStore::load`] would make).
-    /// Spilled slots decode row-by-row off a buffered reader when the
-    /// store streams, so no intermediate `Vec` of the partition ever
-    /// exists; with `StoreConfig::stream` cleared they fall back to a
-    /// full rebuild first (the strawman). Unspill traffic is charged in
-    /// full either way, so byte counters are mode-invariant.
-    pub fn stream(&self, idx: usize) -> Option<RowCursor<T>>
+    /// Resident slots clone the shared rows out one at a time (the same
+    /// copies a consumer of [`PartitionStore::load`] would make). Spilled
+    /// slots decode row by row off a buffered reader when the store
+    /// streams, so no intermediate `Vec` of the partition ever exists;
+    /// with `StoreConfig::stream` cleared they are rebuilt first (the
+    /// strawman). Unspill traffic is charged in full either way, so byte
+    /// counters are mode-invariant.
+    pub fn replay(&self, idx: usize, emit: &mut dyn FnMut(T)) -> bool
     where
         T: Clone,
     {
-        let slot = self.cells[idx].get()?;
-        let inner = match slot {
-            Slot::Resident(rows) => CursorInner::Resident {
-                rows: Arc::clone(rows),
-                pos: 0,
-            },
+        let Some(slot) = self.cells[idx].get() else {
+            return false;
+        };
+        match slot {
+            Slot::Resident(rows) => rows.iter().for_each(|row| emit(row.clone())),
+            Slot::Spilled { .. } if !self.cfg.stream => {
+                // A fresh decode: the handle is unique, so rows move out.
+                let rows = self.read_slot(slot);
+                Arc::try_unwrap(rows)
+                    .unwrap_or_else(|arc| (*arc).clone())
+                    .into_iter()
+                    .for_each(emit);
+            }
             Slot::Spilled {
                 path,
                 encoded_bytes,
                 row_count,
             } => {
-                if !self.cfg.stream {
-                    let rows = self.read_slot(slot);
-                    let owned = Arc::try_unwrap(rows).unwrap_or_else(|arc| (*arc).clone());
-                    CursorInner::Owned(owned.into_iter())
-                } else {
-                    if let Some(stats) = &self.cfg.stats {
-                        stats.add_unspill(*encoded_bytes);
-                    }
-                    let file = File::open(path)
-                        .unwrap_or_else(|e| panic!("spill store: open {}: {e}", path.display()));
-                    let mut reader = BufReader::with_capacity(64 * 1024, file);
-                    let mut header = [0u8; 8];
-                    reader.read_exact(&mut header).expect("spill header read");
-                    debug_assert_eq!(
-                        u64::from_le_bytes(header) as usize,
-                        *row_count,
-                        "spill header row count"
-                    );
-                    CursorInner::Spilled {
-                        reader,
-                        remaining: *row_count,
-                        scratch: Vec::new(),
-                        stats: self.cfg.stats.clone(),
-                    }
+                if let Some(stats) = &self.cfg.stats {
+                    stats.add_unspill(*encoded_bytes);
+                }
+                let file = File::open(path)
+                    .unwrap_or_else(|e| panic!("spill store: open {}: {e}", path.display()));
+                let mut reader = BufReader::with_capacity(64 * 1024, file);
+                let mut header = [0u8; 8];
+                reader.read_exact(&mut header).expect("spill header read");
+                debug_assert_eq!(
+                    u64::from_le_bytes(header) as usize,
+                    *row_count,
+                    "spill header row count"
+                );
+                let mut scratch = Vec::new();
+                for _ in 0..*row_count {
+                    let mut prefix = [0u8; 4];
+                    reader.read_exact(&mut prefix).expect("spill row prefix");
+                    scratch.resize(u32::from_le_bytes(prefix) as usize, 0);
+                    reader.read_exact(&mut scratch).expect("spill row read");
+                    let mut r = SpillReader::new(&scratch);
+                    let row = T::spill_decode(&mut r);
+                    debug_assert_eq!(r.remaining(), 0, "spill row fully consumed");
+                    // Only this one decoded row is resident.
+                    self.charge_peak(row.approx_bytes() as u64);
+                    emit(row);
                 }
             }
-        };
-        Some(RowCursor { inner })
+        }
+        true
     }
 
     fn read_slot(&self, slot: &Slot<T>) -> Arc<Vec<T>> {
@@ -823,79 +814,6 @@ impl<T: SpillRow> SpillSink<'_, T> {
     }
 }
 
-// ---------- the streaming cursor ----------
-
-/// An iterator of decoded rows over one filled partition slot, from
-/// [`PartitionStore::stream`]. Owns everything it needs (shared `Arc` or
-/// an open file handle), so it outlives no borrow of the store.
-pub struct RowCursor<T: SpillRow> {
-    inner: CursorInner<T>,
-}
-
-enum CursorInner<T: SpillRow> {
-    /// Shared resident rows, cloned out one at a time.
-    Resident { rows: Arc<Vec<T>>, pos: usize },
-    /// A full rebuild (strawman mode), drained by move.
-    Owned(std::vec::IntoIter<T>),
-    /// Chunked decode straight off the spill file.
-    Spilled {
-        reader: BufReader<File>,
-        remaining: usize,
-        scratch: Vec<u8>,
-        stats: Option<Arc<CommStats>>,
-    },
-}
-
-impl<T: SpillRow + Clone> Iterator for RowCursor<T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        match &mut self.inner {
-            CursorInner::Resident { rows, pos } => {
-                let row = rows.get(*pos)?.clone();
-                *pos += 1;
-                Some(row)
-            }
-            CursorInner::Owned(iter) => iter.next(),
-            CursorInner::Spilled {
-                reader,
-                remaining,
-                scratch,
-                stats,
-            } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                *remaining -= 1;
-                let mut prefix = [0u8; 4];
-                reader.read_exact(&mut prefix).expect("spill row prefix");
-                let len = u32::from_le_bytes(prefix) as usize;
-                scratch.resize(len, 0);
-                reader.read_exact(scratch).expect("spill row read");
-                let mut r = SpillReader::new(scratch);
-                let row = T::spill_decode(&mut r);
-                debug_assert_eq!(r.remaining(), 0, "spill row fully consumed");
-                if let Some(stats) = stats {
-                    // Only this one decoded row is resident.
-                    stats.charge_resident(row.approx_bytes() as u64);
-                }
-                Some(row)
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            CursorInner::Resident { rows, pos } => {
-                let left = rows.len() - pos;
-                (left, Some(left))
-            }
-            CursorInner::Owned(iter) => iter.size_hint(),
-            CursorInner::Spilled { remaining, .. } => (*remaining, Some(*remaining)),
-        }
-    }
-}
-
 impl<T> Drop for PartitionStore<T> {
     fn drop(&mut self) {
         if let Some(dir) = self.dir.get() {
@@ -944,7 +862,7 @@ pub enum Residency {
         predicted_bytes: u64,
     },
     /// Some partitions live (or are predicted to live) on disk and are
-    /// consumed row-by-row through the streaming cursor, so peak resident
+    /// replayed row by row ([`PartitionStore::replay`]), so peak resident
     /// memory stays bounded during consumption.
     Stream {
         /// The resident byte budget in force.
@@ -976,7 +894,7 @@ mod tests {
         }
     }
 
-    /// Budgeted, streaming cursors (the default mode).
+    /// Budgeted, streaming replay (the default mode).
     fn stream_cfg(budget: u64) -> StoreConfig {
         StoreConfig {
             budget: Some(budget),
@@ -1175,17 +1093,29 @@ mod tests {
         );
     }
 
+    /// Every row `replay` pushes out of a filled slot.
+    fn replayed<T: SpillRow + Clone>(store: &PartitionStore<T>, idx: usize) -> Vec<T> {
+        let mut rows = Vec::new();
+        assert!(store.replay(idx, &mut |row| rows.push(row)), "filled");
+        rows
+    }
+
     #[test]
     fn cursor_matches_load_in_every_mode() {
         let rows: Vec<u64> = (0..500).map(|i| i * 3).collect();
         for cfg in [mem_cfg(), spill_cfg(8), stream_cfg(8)] {
             let store = PartitionStore::prefilled(vec![rows.clone()], cfg);
-            let streamed: Vec<u64> = store.stream(0).expect("filled").collect();
+            let streamed = replayed(&store, 0);
             assert_eq!(streamed, *store.load(0).unwrap());
             assert_eq!(streamed, rows);
         }
         let empty: PartitionStore<u64> = PartitionStore::new(1, mem_cfg());
-        assert!(empty.stream(0).is_none(), "unfilled slot has no cursor");
+        let mut pushed = 0;
+        assert!(
+            !empty.replay(0, &mut |_| pushed += 1),
+            "unfilled slot does not replay"
+        );
+        assert_eq!(pushed, 0, "unfilled slot pushes nothing");
     }
 
     #[test]
@@ -1202,7 +1132,7 @@ mod tests {
                 stream,
             };
             let store = PartitionStore::prefilled(vec![rows.clone()], cfg);
-            let _: Vec<u64> = store.stream(0).unwrap().collect();
+            replayed(&store, 0);
             unspills.push(stats.unspill_bytes());
         }
         assert_eq!(unspills[0], unspills[1], "unspill bytes are mode-invariant");
@@ -1227,8 +1157,7 @@ mod tests {
                 sink.push(row);
             }
             sink.finish();
-            let drained: Vec<u64> = store.stream(0).unwrap().collect();
-            assert_eq!(drained, rows);
+            assert_eq!(replayed(&store, 0), rows);
             stats.peak_resident_bytes()
         };
         let streamed = peak_of(true);
@@ -1238,7 +1167,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_sink_and_fill_spilled_write_identical_slots() {
+    fn spill_sink_and_prefilled_spill_write_identical_slots() {
         let rows: Vec<(u64, String)> = (0..100).map(|i| (i, format!("row-{i}"))).collect();
         let via_sink: PartitionStore<(u64, String)> = PartitionStore::new(1, stream_cfg(8));
         let mut sink = via_sink.spill_sink(0, rows.len());
@@ -1246,10 +1175,10 @@ mod tests {
             sink.push(row);
         }
         sink.finish();
-        let via_fill: PartitionStore<(u64, String)> = PartitionStore::new(1, stream_cfg(8));
-        via_fill.fill_spilled(0, rows.len(), rows.iter());
-        assert_eq!(via_sink.spilled_bytes(), via_fill.spilled_bytes());
-        assert_eq!(*via_sink.load(0).unwrap(), *via_fill.load(0).unwrap());
+        let via_prefill = PartitionStore::prefilled(vec![rows.clone()], stream_cfg(8));
+        assert_eq!(via_prefill.spilled_parts(), 1, "the prefilled slot spills");
+        assert_eq!(via_sink.spilled_bytes(), via_prefill.spilled_bytes());
+        assert_eq!(*via_sink.load(0).unwrap(), *via_prefill.load(0).unwrap());
         assert_eq!(*via_sink.load(0).unwrap(), rows);
     }
 

@@ -314,13 +314,13 @@ fn over_budget_job_spills_and_cleans_up() {
     assert!(stats.spill_bytes() >= stats.spills());
 }
 
-/// The cost model is spill-aware: an auto-cache whose contents would blow
-/// the whole budget wholly spills under the fair-share rule, so replaying
-/// it is no cheaper than recomputing — the optimizer must not arm it.
-/// With `charge_spill_reads` off, the old byte-threshold behaviour is
-/// restored. Either way the rows are identical.
+/// Auto-cache arming reads the byte threshold alone: an auto-cache whose
+/// contents blow the whole budget wholly spills under the fair-share rule
+/// and is replayed from disk, never recomputed, whether spilled reads
+/// stream or rebuild — so it is armed at every budget and in both read
+/// modes. The rows are identical throughout.
 #[test]
-fn oversized_auto_cache_is_not_armed() {
+fn oversized_auto_cache_is_armed_in_every_read_mode() {
     let run = |cfg: OptimizerConfig| {
         let calls = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&calls);
@@ -342,24 +342,15 @@ fn oversized_auto_cache_is_not_armed() {
     assert_eq!(
         run(cfg_with(Some(1024))),
         20_000,
-        "streaming store: a spilled cache replays through its cursor, so arming still wins"
+        "streaming store: a spilled cache replays row by row, so arming still wins"
     );
     assert_eq!(
         run(OptimizerConfig {
-            stream_spills: false,
-            ..cfg_with(Some(1024))
-        }),
-        30_000,
-        "rebuild-on-access strawman: 80 KB of cache against a 1 KiB budget buys nothing, skip it"
-    );
-    assert_eq!(
-        run(OptimizerConfig {
-            charge_spill_reads: false,
             stream_spills: false,
             ..cfg_with(Some(1024))
         }),
         20_000,
-        "spill-blind cost model: arm on the byte threshold alone"
+        "rebuild-on-access strawman: the spilled cache is rebuilt from disk, not recomputed"
     );
 }
 

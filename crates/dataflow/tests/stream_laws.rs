@@ -1,8 +1,9 @@
-//! Streaming out-of-core laws: pulling spilled rows through cursors must
+//! Streaming out-of-core laws: replaying spilled rows one at a time must
 //! change *nothing* but the memory high-water mark.
 //!
 //! [`OptimizerConfig::stream_spills`] swaps every rebuild-the-partition
-//! read for a row cursor ([`peachy_dataflow::store::RowCursor`]) and every
+//! read for a row-by-row replay
+//! ([`peachy_dataflow::store::PartitionStore::replay`]) and every
 //! concatenate-then-encode spill for an incremental
 //! [`peachy_dataflow::store::SpillSink`]. The laws here pin the two sides
 //! of that trade on the same seeded random-DAG grid the spill laws use:
@@ -35,15 +36,14 @@ fn base_seed() -> u64 {
 const SPILL_BUDGETS: [u64; 2] = [64 * 1024, 1024];
 
 /// A config pair differing only in how spilled partitions are consumed.
-/// `charge_spill_reads` is off so the auto-cache arming decision is
-/// byte-threshold-only and therefore *identical* in both modes — the runs
-/// execute the same plan and differ purely in cursor-vs-rebuild reads,
-/// which is exactly what the peak comparison must isolate.
+/// Auto-cache arming reads only the byte threshold, so it is *identical*
+/// in both modes — the runs execute the same plan and differ purely in
+/// streamed-vs-rebuilt reads, which is exactly what the peak comparison
+/// must isolate.
 fn cfg(budget: Option<u64>, stream: bool) -> OptimizerConfig {
     OptimizerConfig {
         spill_budget: budget,
         stream_spills: stream,
-        charge_spill_reads: false,
         ..OptimizerConfig::default()
     }
 }
@@ -171,7 +171,7 @@ fn streaming_is_bit_identical_and_never_peaks_higher() {
 }
 
 /// The streamed rows survive every executor and benign transport chaos —
-/// scheduling and message mischief cannot observe the cursor seam.
+/// scheduling and message mischief cannot observe the replay seam.
 #[test]
 fn streaming_holds_on_every_executor_and_under_chaos() {
     let base = base_seed() ^ 0x57EA;
