@@ -116,7 +116,6 @@ where
                         executed[MANAGER] += 1;
                         done += 1;
                     } else {
-                        policy.sleep_before_retry(attempts[t]);
                         pending.push_front(t);
                         reassigned += 1;
                     }

@@ -91,6 +91,12 @@ impl RankError {
     pub fn is_primary(&self) -> bool {
         !self.is_peer_dead()
     }
+
+    /// The failure a failed run reports: its first primary failure, else
+    /// its first failure. `None` only for an empty slice.
+    pub fn primary(errors: &[RankError]) -> Option<&RankError> {
+        errors.iter().find(|e| e.is_primary()).or(errors.first())
+    }
 }
 
 impl fmt::Display for RankError {
@@ -108,39 +114,17 @@ impl fmt::Display for RankError {
 impl std::error::Error for RankError {}
 
 /// Bounded-retry configuration for failure-aware executors (task farm,
-/// resilient MapReduce, dataflow partition retry).
+/// resilient MapReduce, dataflow partition retry). A retry runs at once:
+/// the one backoff in the workspace is [`TickBackoff`], in virtual ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts per task (first run included). Must be ≥ 1.
     pub max_attempts: u32,
-    /// Sleep between attempts, scaled linearly by the attempt number
-    /// (attempt 2 sleeps `backoff`, attempt 3 sleeps `2·backoff`, …).
-    pub backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Sleep before retry number `attempt` (1-based count of *completed*
-    /// attempts). No-op for a zero backoff.
-    ///
-    /// This is the *wall-clock* backoff used by thread-level retry loops
-    /// (task farm, resilient MapReduce). Virtual-time components — the
-    /// serving tier above all — must use [`TickBackoff`] instead: a real
-    /// sleep inside a virtual-time replay perturbs nothing observable but
-    /// wastes real seconds, and any future coupling to wall time would
-    /// break the replay contract.
-    pub fn sleep_before_retry(&self, attempt: u32) {
-        if !self.backoff.is_zero() {
-            std::thread::sleep(self.backoff.saturating_mul(attempt));
-        }
+        Self { max_attempts: 3 }
     }
 }
 
@@ -189,9 +173,8 @@ impl TickBackoff {
     }
 
     /// Ticks to wait before retry number `attempt` (1-based count of
-    /// completed attempts, matching
-    /// [`RetryPolicy::sleep_before_retry`]). Pure: same `(self, attempt)`
-    /// always yields the same delay.
+    /// completed attempts). Pure: same `(self, attempt)` always yields
+    /// the same delay.
     pub fn delay_ticks(&self, attempt: u32) -> u64 {
         let linear = self.base.saturating_mul(attempt as u64);
         if self.jitter == 0 {
@@ -225,14 +208,26 @@ impl EdgeFault {
         Self::default()
     }
 
-    fn validate(&self) {
+    /// Check every probability lies in `[0, 1]`.
+    pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("drop_p", self.drop_p),
             ("dup_p", self.dup_p),
             ("reorder_p", self.reorder_p),
         ] {
-            assert!((0.0..=1.0).contains(&p), "{name} = {p} outside [0, 1]");
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{name} = {p} outside [0, 1]"));
+            }
         }
+        Ok(())
+    }
+
+    /// `self`, or a panic naming the first bad probability.
+    fn checked(self) -> Self {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+        self
     }
 }
 
@@ -268,17 +263,17 @@ impl FaultPlan {
     }
 
     /// Apply `fault` to every directed edge (specific [`FaultPlan::edge`]
-    /// entries still take precedence).
+    /// entries still take precedence). Panics if [`EdgeFault::validate`]
+    /// rejects `fault`.
     pub fn all_edges(mut self, fault: EdgeFault) -> Self {
-        fault.validate();
-        self.default_edge = Some(fault);
+        self.default_edge = Some(fault.checked());
         self
     }
 
-    /// Apply `fault` to the directed edge `src → dst`.
+    /// Apply `fault` to the directed edge `src → dst`. Panics if
+    /// [`EdgeFault::validate`] rejects `fault`.
     pub fn edge(mut self, src: usize, dst: usize, fault: EdgeFault) -> Self {
-        fault.validate();
-        self.edges.insert((src, dst), fault);
+        self.edges.insert((src, dst), fault.checked());
         self
     }
 
@@ -651,6 +646,5 @@ mod tests {
     fn retry_policy_default_bounds() {
         let p = RetryPolicy::default();
         assert_eq!(p.max_attempts, 3);
-        p.sleep_before_retry(1); // zero backoff: returns immediately
     }
 }

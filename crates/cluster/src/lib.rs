@@ -107,24 +107,14 @@ impl Cluster {
     {
         let results = Self::run_with_plan(n, &FaultPlan::none(), f);
         let mut out = Vec::with_capacity(results.len());
-        let mut first_err: Option<RankError> = None;
+        let mut errors = Vec::new();
         for r in results {
             match r {
                 Ok(v) => out.push(v),
-                Err(e) => {
-                    // Prefer the primary failure (a rank's own panic) over
-                    // secondary peer-death casualties it caused.
-                    let replace = match &first_err {
-                        None => true,
-                        Some(cur) => cur.is_peer_dead() && e.is_primary(),
-                    };
-                    if replace {
-                        first_err = Some(e);
-                    }
-                }
+                Err(e) => errors.push(e),
             }
         }
-        if let Some(e) = first_err {
+        if let Some(e) = RankError::primary(&errors) {
             panic!("{e}");
         }
         out

@@ -150,7 +150,7 @@ pub const OFFENSES: [&str; 6] = [
 ];
 
 /// Configuration for [`SyntheticCity::generate`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CityConfig {
     /// NTA grid width (columns).
     pub grid_w: usize,
@@ -182,6 +182,37 @@ impl Default for CityConfig {
     }
 }
 
+impl CityConfig {
+    /// Check the generator can honour the config: a non-empty grid,
+    /// arrests and hotspots, a `dirty_frac` in `[0, 1]`, and at least one
+    /// historic year, none before year 0.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, v) in [
+            ("grid_w", self.grid_w),
+            ("grid_h", self.grid_h),
+            ("arrests", self.arrests),
+            ("hotspots", self.hotspots),
+        ] {
+            if v == 0 {
+                return Err(format!("{name} must be at least 1"));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.dirty_frac) {
+            return Err(format!("dirty_frac = {} outside [0, 1]", self.dirty_frac));
+        }
+        if self.historic_years == 0 {
+            return Err("need at least one historic year".to_string());
+        }
+        if self.historic_years > self.current_year {
+            return Err(format!(
+                "{} historic years reach before year 0 (current_year = {})",
+                self.historic_years, self.current_year
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The generated city: the four "downloaded" tables plus ground truth.
 #[derive(Debug, Clone)]
 pub struct SyntheticCity {
@@ -202,8 +233,12 @@ pub struct SyntheticCity {
 }
 
 impl SyntheticCity {
-    /// Generate a city deterministically from `config` and `seed`.
+    /// Generate a city deterministically from `config` and `seed`. Panics
+    /// if [`CityConfig::validate`] rejects `config`.
     pub fn generate(config: CityConfig, seed: u64) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let CityConfig {
             grid_w,
             grid_h,
@@ -213,8 +248,6 @@ impl SyntheticCity {
             current_year,
             historic_years,
         } = config;
-        assert!(grid_w >= 1 && grid_h >= 1 && arrests >= 1 && hotspots >= 1);
-        assert!(historic_years >= 1, "need at least one historic year");
         let mut rng = Lcg64::seed_from(seed);
 
         // 1. Jitter the interior grid vertices once; boundary vertices stay

@@ -536,12 +536,10 @@ impl<T> RetryOp<T> {
             attempt += 1;
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&run)) {
                 Ok(rows) => return rows,
-                Err(payload) => {
-                    if attempt >= self.policy.max_attempts {
-                        std::panic::resume_unwind(payload);
-                    }
-                    self.policy.sleep_before_retry(attempt);
+                Err(payload) if attempt >= self.policy.max_attempts => {
+                    std::panic::resume_unwind(payload)
                 }
+                Err(_) => {}
             }
         }
     }
@@ -806,8 +804,8 @@ impl<T: Clone + Send + Sync + SpillRow + 'static> Dataset<T> {
     }
 
     /// Make partition evaluation failure-aware: a partition whose compute
-    /// panics (a flaky UDF, a simulated executor loss) is retried up to
-    /// `policy.max_attempts` times with the policy's backoff — Spark's
+    /// panics (a flaky UDF, a simulated executor loss) is retried at once,
+    /// up to `policy.max_attempts` times — Spark's
     /// task-retry / Parsl's app-retry behaviour on the lineage graph. The
     /// panic is re-raised once the budget is exhausted. Because lineage
     /// recomputes from the parent each attempt (caches left uninitialized
@@ -1568,10 +1566,7 @@ ReduceByKey[6 partitions] ~~~ shuffle elided (co-partitioned) ~~~
     fn retry_gives_up_after_max_attempts() {
         let ds = Dataset::from_vec(vec![1, 2, 3], 1)
             .map(|_: i32| -> i32 { panic!("permanent failure") })
-            .with_retry(RetryPolicy {
-                max_attempts: 2,
-                backoff: std::time::Duration::ZERO,
-            });
+            .with_retry(RetryPolicy { max_attempts: 2 });
         ds.collect();
     }
 
@@ -1601,10 +1596,7 @@ ReduceByKey[6 partitions] ~~~ shuffle elided (co-partitioned) ~~~
                 }
                 x
             })
-            .with_retry(RetryPolicy {
-                max_attempts: 3,
-                backoff: std::time::Duration::ZERO,
-            })
+            .with_retry(RetryPolicy { max_attempts: 3 })
             .map(|x| x) // fused downstream of the retry barrier
             .filter(|_| true);
         assert_eq!(ds.collect(), (0..30).collect::<Vec<_>>());

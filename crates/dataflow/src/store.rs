@@ -1101,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_matches_load_in_every_mode() {
+    fn replay_matches_load_in_every_mode() {
         let rows: Vec<u64> = (0..500).map(|i| i * 3).collect();
         for cfg in [mem_cfg(), spill_cfg(8), stream_cfg(8)] {
             let store = PartitionStore::prefilled(vec![rows.clone()], cfg);
@@ -1119,7 +1119,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_charges_unspill_like_a_full_read() {
+    fn replay_charges_unspill_like_a_full_read() {
         // Byte counters must not depend on the consumption mode, only the
         // peak meter does.
         let rows: Vec<u64> = (0..64).collect();
@@ -1140,7 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_cursor_keeps_peak_below_full_rebuild() {
+    fn streaming_replay_keeps_peak_below_full_rebuild() {
         let rows: Vec<u64> = (0..4096).collect();
         let peak_of = |stream: bool| {
             let stats = CommStats::new();

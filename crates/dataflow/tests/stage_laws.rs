@@ -149,10 +149,7 @@ fn retry_below_a_shuffle_recovers_a_transient_map_side_panic() {
         .with_stats(Arc::clone(&stats))
         .reduce_by_key(|a, b| a + b)
         .rows()
-        .with_retry(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::ZERO,
-        });
+        .with_retry(RetryPolicy { max_attempts: 3 });
 
     let mut got = retried.collect();
     got.sort_unstable();
@@ -174,9 +171,6 @@ fn retry_below_a_shuffle_still_raises_a_permanent_map_side_panic() {
         .key_by(|x| x % 5)
         .reduce_by_key(|a, b| a + b)
         .rows()
-        .with_retry(RetryPolicy {
-            max_attempts: 2,
-            backoff: Duration::ZERO,
-        })
+        .with_retry(RetryPolicy { max_attempts: 2 })
         .collect();
 }

@@ -22,12 +22,13 @@
 //! the recovered answer is bit-identical to the fault-free run.
 
 use peachy_cluster::{
-    dist::block_range, Cluster, CommStats, FaultPlan, RankError, RetryPolicy, Shared,
+    dist::block_range, Cluster, CommStats, Executor, FaultPlan, RankError, RetryPolicy, Shared,
 };
 use peachy_data::kernels::Candidates;
 use peachy_data::Matrix;
 
 use crate::config::{KMeansConfig, KMeansResult, Termination};
+use crate::executor::fit_with;
 use crate::metrics::point_dist2;
 
 /// Run k-means on `ranks` simulated distributed-memory ranks.
@@ -41,12 +42,7 @@ pub fn fit_distributed(
     init: Matrix,
     ranks: usize,
 ) -> KMeansResult {
-    fit_on_cluster(points, config, &init, ranks, &FaultPlan::none(), None).unwrap_or_else(
-        |errors| {
-            let primary = errors.iter().find(|e| e.is_primary()).unwrap_or(&errors[0]);
-            panic!("{primary}");
-        },
-    )
+    fit_with(points, config, init, &Executor::cluster(ranks), None)
 }
 
 /// One supervised SPMD attempt under a chaos plan: `Ok` only if every
@@ -233,7 +229,7 @@ pub struct ResilientFit {
 /// killed, aborting the whole job cleanly via peer-death cascade), resubmit
 /// on the surviving rank count — the failed nodes are excluded, mirroring
 /// how a scheduler restarts an MPI job without the crashed hosts. Bounded
-/// by `policy.max_attempts`, with the policy's backoff between attempts.
+/// by `policy.max_attempts`.
 ///
 /// Because assignments are rank-count invariant (a property the test suite
 /// pins down), the recovered clustering is **bit-identical** to the
@@ -269,7 +265,6 @@ pub fn fit_distributed_resilient(
                 let lost = errors.iter().filter(|e| e.is_primary()).count().max(1);
                 ranks_now = ranks_now.saturating_sub(lost).max(1);
                 plan_now = FaultPlan::none();
-                policy.sleep_before_retry(attempt);
             }
         }
     }
@@ -376,10 +371,7 @@ mod tests {
             init,
             3,
             &plan,
-            &RetryPolicy {
-                max_attempts: 1,
-                backoff: std::time::Duration::ZERO,
-            },
+            &RetryPolicy { max_attempts: 1 },
         )
         .expect_err("single attempt, scheduled kill");
         assert!(errors.iter().any(|e| e.rank == 1 && e.is_primary()));

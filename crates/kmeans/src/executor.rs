@@ -17,7 +17,7 @@
 //! shared-memory backends scatter/gather by borrowing (zero collective
 //! bytes), the cluster backend pays for every element it moves.
 
-use peachy_cluster::{CommStats, Executor};
+use peachy_cluster::{CommStats, Executor, RankError};
 use peachy_data::Matrix;
 
 use crate::config::{KMeansConfig, KMeansResult};
@@ -41,8 +41,10 @@ pub fn fit_with(
         }
         Executor::Cluster { ranks, plan } => {
             fit_on_cluster(points, config, &init, *ranks, plan, stats).unwrap_or_else(|errors| {
-                let primary = errors.iter().find(|e| e.is_primary()).unwrap_or(&errors[0]);
-                panic!("{primary}");
+                panic!(
+                    "{}",
+                    RankError::primary(&errors).expect("a failed run names its ranks")
+                )
             })
         }
     }

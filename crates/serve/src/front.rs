@@ -33,26 +33,42 @@ pub(crate) struct Batch<I, O> {
 }
 
 impl<I, O> Batch<I, O> {
-    /// Answer every request, in order. Panics before filling any slot if
-    /// the service did not answer every request.
-    pub(crate) fn answer(&self, outputs: Vec<O>, stats: &ServerStats) {
-        assert_eq!(
-            outputs.len(),
-            self.slots.len(),
-            "service must answer every request in the batch"
-        );
-        for (slot, out) in self.slots.iter().zip(outputs) {
-            slot.fill(Ok(out));
+    /// Answer every request in order from `outputs`, or every request
+    /// [`ServeError::Failed`] when the service panicked (`None`) or did
+    /// not answer each request once. Returns whether the batch was
+    /// answered. Both tiers settle a served batch here, after one attempt.
+    pub(crate) fn answer(&self, outputs: Option<Vec<O>>, stats: &ServerStats) -> bool {
+        match outputs {
+            Some(outputs) if outputs.len() == self.slots.len() => {
+                for (slot, out) in self.slots.iter().zip(outputs) {
+                    slot.fill(Ok(out));
+                }
+                stats.record_completed(self.slots.len() as u64);
+                true
+            }
+            _ => {
+                for slot in &self.slots {
+                    slot.fill(Err(ServeError::Failed));
+                }
+                stats.record_failed(self.slots.len() as u64);
+                false
+            }
         }
-        stats.record_completed(self.slots.len() as u64);
     }
+}
 
-    /// Answer every request with `err`.
-    pub(crate) fn fail(&self, err: ServeError, stats: &ServerStats) {
-        for slot in &self.slots {
-            slot.fill(Err(err));
-        }
-        stats.record_failed(self.slots.len() as u64);
+/// The batcher shape both tiers share: capacity, batch size and wait must
+/// each be at least 1.
+pub(crate) fn check_batching(
+    capacity: usize,
+    max_batch_size: usize,
+    max_wait: u64,
+) -> Result<(), String> {
+    match (capacity, max_batch_size, max_wait) {
+        (0, _, _) => Err("capacity must be at least 1".to_string()),
+        (_, 0, _) => Err("max_batch_size must be at least 1".to_string()),
+        (_, _, 0) => Err("max_wait must be at least 1 tick".to_string()),
+        _ => Ok(()),
     }
 }
 
@@ -76,15 +92,13 @@ pub(crate) struct Batcher<I, O> {
 }
 
 impl<I, O> Batcher<I, O> {
+    /// A batcher of the shape [`check_batching`] accepts.
     pub(crate) fn new(
         shards: usize,
         capacity: usize,
         max_batch_size: usize,
         max_wait: u64,
     ) -> Self {
-        assert!(capacity > 0, "capacity must be at least 1");
-        assert!(max_batch_size > 0, "max_batch_size must be at least 1");
-        assert!(max_wait > 0, "max_wait must be at least 1 tick");
         Self {
             clock: 0,
             capacity,

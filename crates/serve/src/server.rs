@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 use peachy_cluster::fault::fail_stop;
 use peachy_cluster::{Executor, FaultPlan, TickBackoff};
 
-use crate::front::{Backend, Batch, Batcher, Front, KillCounter};
+use crate::front::{check_batching, Backend, Batch, Batcher, Front, KillCounter};
 use crate::service::Service;
 use crate::shard::{ReshardRecord, ShardMap};
 use crate::stats::{CloseCause, ServerStats};
@@ -101,24 +101,32 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    fn validate(&self) {
-        assert!(self.workers > 0, "need at least one worker");
-        assert!(
-            self.plan.transport_only().is_empty(),
-            "the pool takes no edge faults: put them on the executor's own plan"
-        );
+    /// Check the config: a batcher shape with every bound at least 1, at
+    /// least one worker, and a plan of kills alone, each of a worker in
+    /// the pool (edge faults belong on the executor's plan, and a killed
+    /// worker respawns at once, so revivals have no meaning).
+    pub fn validate(&self) -> Result<(), String> {
+        check_batching(self.capacity, self.max_batch_size, self.max_wait)?;
+        if self.workers == 0 {
+            return Err("need at least one worker".to_string());
+        }
+        if !self.plan.transport_only().is_empty() {
+            return Err(
+                "the pool takes no edge faults: put them on the executor's own plan".to_string(),
+            );
+        }
         let kills = self.plan.scheduled_kills();
-        assert_eq!(
-            self.plan.doomed_ranks().len(),
-            kills.len(),
-            "the pool respawns killed workers at once: drop the plan's revivals"
-        );
-        for (rank, _) in kills {
-            assert!(
-                rank < self.workers,
+        if self.plan.doomed_ranks().len() != kills.len() {
+            return Err(
+                "the pool respawns killed workers at once: drop the plan's revivals".to_string(),
+            );
+        }
+        match kills.iter().find(|&&(rank, _)| rank >= self.workers) {
+            Some((rank, _)) => Err(format!(
                 "kill of rank {rank} outside a pool of {}",
                 self.workers
-            );
+            )),
+            None => Ok(()),
         }
     }
 }
@@ -381,16 +389,14 @@ impl<S: Service> Workers<S> {
             match job {
                 Err(_) => return,
                 Ok(Job::Run(batch)) => {
-                    let answered = catch_unwind(AssertUnwindSafe(|| {
-                        let outputs =
-                            self.service
-                                .run_batch(&batch.inputs, &self.exec, self.stats.comm());
-                        batch.answer(outputs, &self.stats);
-                    }));
-                    if answered.is_ok() {
+                    let outputs = catch_unwind(AssertUnwindSafe(|| {
+                        self.service
+                            .run_batch(&batch.inputs, &self.exec, self.stats.comm())
+                    }))
+                    .ok();
+                    if batch.answer(outputs, &self.stats) {
                         continue;
                     }
-                    batch.fail(ServeError::Failed, &self.stats);
                 }
                 Ok(Job::Kill) => {
                     let _ = catch_unwind(|| fail_stop());
@@ -412,8 +418,11 @@ pub struct Server<S: Service> {
 
 impl<S: Service> Server<S> {
     /// Spawn the worker pool and start accepting requests at tick 0.
+    /// Panics if [`ServeConfig::validate`] rejects `cfg`.
     pub fn start(service: S, exec: Executor, cfg: ServeConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let q = Batcher::new(1, cfg.capacity, cfg.max_batch_size, cfg.max_wait);
         let (tx, rx) = mpsc::channel();
         let workers = Arc::new(Workers {
@@ -673,7 +682,7 @@ mod tests {
                 plan,
                 ..cfg(8, 4, 2)
             };
-            assert!(std::panic::catch_unwind(|| c.validate()).is_err(), "{c:?}");
+            assert!(c.validate().is_err(), "{c:?}");
         }
     }
 

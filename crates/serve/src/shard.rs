@@ -47,6 +47,14 @@
 //! `Ok`, and resolves *identically*, because shard routing never moved
 //! and shard state is rebuild-identical.
 //!
+//! A service fault is not a rank death. When `run_shard` panics, or
+//! does not answer each input once, its batch is answered
+//! [`ServeError::Failed`] once, on every backend, and nothing else
+//! follows: no replay, no reshard, no epoch bump. This is the pool's
+//! rule, and for the same reason — services are pure, so a retry would
+//! only fail again. The panic is caught per batch inside the round, so
+//! on the cluster the rank lives on and sends its completion tokens.
+//!
 //! ## Migration cost
 //!
 //! A reshard moves only the shard delta the ring dictates: on a join,
@@ -64,6 +72,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,7 +83,7 @@ use peachy_cluster::{
 };
 use peachy_prng::{mix_seed, SplitMix64};
 
-use crate::front::{Backend, Batch, Batcher, Front, KillCounter};
+use crate::front::{check_batching, Backend, Batch, Batcher, Front, KillCounter};
 use crate::server::{backend_label, Response, ServeError, ServerReport};
 use crate::stats::ServerStats;
 
@@ -354,19 +363,56 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    fn validate(&self) {
-        assert!(self.num_shards > 0, "need at least one shard");
-        assert!(self.vnodes > 0, "need at least one virtual node");
-        assert!(self.initial_ranks > 0, "need at least one rank");
-        assert!(
-            u32::try_from(self.num_shards).is_ok(),
-            "shard count must fit a message tag"
-        );
-        let mut last = 0;
-        for &(tick, _) in &self.scaling {
-            assert!(tick >= last, "scaling events must be sorted by tick");
-            last = tick;
+    /// Check the config: a batcher shape with every bound at least 1, at
+    /// least one shard, virtual node and rank, a shard count that fits a
+    /// message tag, and a scaling script sorted by tick that the epoch-0
+    /// membership `0..initial_ranks` can follow — each add of a
+    /// non-member, each drain of a member other than the last. A drained
+    /// rank may be added back. The plan's kills are not walked: when one
+    /// fires depends on dispatch counts.
+    pub fn validate(&self) -> Result<(), String> {
+        check_batching(self.capacity, self.max_batch_size, self.max_wait)?;
+        if self.num_shards == 0 {
+            return Err("need at least one shard".to_string());
         }
+        if self.vnodes == 0 {
+            return Err("need at least one virtual node".to_string());
+        }
+        if self.initial_ranks == 0 {
+            return Err("need at least one rank".to_string());
+        }
+        if u32::try_from(self.num_shards).is_err() {
+            return Err("shard count must fit a message tag".to_string());
+        }
+        let mut members: BTreeSet<usize> = (0..self.initial_ranks).collect();
+        let mut last = 0;
+        for &(tick, event) in &self.scaling {
+            if tick < last {
+                return Err("scaling events must be sorted by tick".to_string());
+            }
+            last = tick;
+            match event {
+                ScaleEvent::Add(rank) => {
+                    if !members.insert(rank) {
+                        return Err(format!(
+                            "scripted add of rank {rank} which is already a member"
+                        ));
+                    }
+                }
+                ScaleEvent::Drain(rank) => {
+                    if !members.contains(&rank) {
+                        return Err(format!(
+                            "scripted drain of rank {rank} which is not a member"
+                        ));
+                    }
+                    if members.len() == 1 {
+                        return Err("cannot drain the last rank".to_string());
+                    }
+                    members.remove(&rank);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -419,9 +465,11 @@ struct Shards<S: ShardedService> {
 
 impl<S: ShardedService> ShardedServer<S> {
     /// Build the epoch-0 server: compute the initial map and all shard
-    /// states.
+    /// states. Panics if [`ShardConfig::validate`] rejects `cfg`.
     pub fn start(service: S, exec: Executor, cfg: ShardConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let q = Batcher::new(
             cfg.num_shards,
             cfg.capacity,
@@ -617,6 +665,20 @@ impl<S: ShardedService> Backend for Shards<S> {
     }
 }
 
+/// Serve one batch on its shard's state. `None` when `run_shard` panics:
+/// the batch is then answered [`ServeError::Failed`] once, with no
+/// replay, as on the pool.
+fn serve_batch<S: ShardedService>(
+    service: &S,
+    states: &BTreeMap<usize, Arc<S::State>>,
+    b: &ShardBatch<S>,
+) -> Option<Vec<S::Output>> {
+    catch_unwind(AssertUnwindSafe(|| {
+        service.run_shard(b.shard, &states[&b.shard], &b.inputs)
+    }))
+    .ok()
+}
+
 impl<S: ShardedService> Shards<S> {
     fn apply_revivals(&mut self, tick: u64) {
         let due: Vec<usize> = self
@@ -662,12 +724,13 @@ impl<S: ShardedService> Shards<S> {
     }
 
     /// Run the surviving batches of one round on the configured backend
-    /// and return per-batch outputs, aligned with `alive`.
+    /// and return per-batch outputs, aligned with `alive` (`None` where
+    /// `run_shard` panicked).
     fn run_alive_batches(
         &self,
         alive: &[ShardBatch<S>],
         dying: &BTreeSet<usize>,
-    ) -> Vec<Vec<S::Output>> {
+    ) -> Vec<Option<Vec<S::Output>>> {
         if alive.is_empty() && dying.is_empty() {
             return Vec::new();
         }
@@ -683,11 +746,8 @@ impl<S: ShardedService> Shards<S> {
                 let states = &self.states;
                 exec.map_parts(&dist, Some(self.stats.comm()), |_, range| {
                     range
-                        .map(|i| {
-                            let b = &alive[i];
-                            service.run_shard(b.shard, &states[&b.shard], &b.inputs)
-                        })
-                        .collect::<Vec<Vec<S::Output>>>()
+                        .map(|i| serve_batch(service, states, &alive[i]))
+                        .collect::<Vec<_>>()
                 })
                 .into_iter()
                 .flatten()
@@ -705,7 +765,7 @@ impl<S: ShardedService> Shards<S> {
         &self,
         alive: &[ShardBatch<S>],
         dying: &BTreeSet<usize>,
-    ) -> Vec<Vec<S::Output>> {
+    ) -> Vec<Option<Vec<S::Output>>> {
         let slots_to_rank: Vec<usize> = self.members.iter().copied().collect();
         let rank_to_slot: BTreeMap<usize, usize> = slots_to_rank
             .iter()
@@ -732,12 +792,9 @@ impl<S: ShardedService> Shards<S> {
         let comm_stats = Arc::clone(self.stats.comm());
         let results = Cluster::run_with_plan(m, &plan, move |comm: &mut Comm| {
             let me = comm.rank();
-            let answers: Vec<(usize, Vec<S::Output>)> = slot_batches[me]
+            let answers: Vec<(usize, Option<Vec<S::Output>>)> = slot_batches[me]
                 .iter()
-                .map(|&i| {
-                    let b = &alive[i];
-                    (i, service.run_shard(b.shard, &states[&b.shard], &b.inputs))
-                })
+                .map(|&i| (i, serve_batch(service, states, &alive[i])))
                 .collect();
             // Completion-token barrier with failure detection: a dying
             // rank panics at its first send, so its answers never leave
@@ -766,7 +823,9 @@ impl<S: ShardedService> Shards<S> {
             (answers, detected)
         });
 
-        let mut outputs: Vec<Option<Vec<S::Output>>> = (0..alive.len()).map(|_| None).collect();
+        // Per batch: `Some` once a surviving rank returned its outputs.
+        let mut outputs: Vec<Option<Option<Vec<S::Output>>>> =
+            (0..alive.len()).map(|_| None).collect();
         let mut detected_union: BTreeSet<usize> = BTreeSet::new();
         for (slot, result) in results.into_iter().enumerate() {
             match result {
@@ -902,5 +961,52 @@ impl<S: ShardedService> Shards<S> {
             bytes_migrated: bytes,
             requests_replayed: replayed,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn validate_walks_the_scaling_script_from_the_initial_membership() {
+        use ScaleEvent::{Add, Drain};
+        let base = ShardConfig {
+            initial_ranks: 2,
+            ..ShardConfig::default()
+        };
+        let scripted = |scaling: Vec<(u64, ScaleEvent)>| {
+            ShardConfig {
+                scaling,
+                ..base.clone()
+            }
+            .validate()
+        };
+        let err = |r: Result<(), String>| r.expect_err("config must be rejected");
+
+        assert_eq!(base.validate(), Ok(()));
+        let zero_shards = ShardConfig {
+            num_shards: 0,
+            ..base.clone()
+        };
+        assert!(err(zero_shards.validate()).contains("at least one shard"));
+        let zero_ranks = ShardConfig {
+            initial_ranks: 0,
+            ..base.clone()
+        };
+        assert!(err(zero_ranks.validate()).contains("at least one rank"));
+        let zero_wait = ShardConfig {
+            max_wait: 0,
+            ..base.clone()
+        };
+        assert!(err(zero_wait.validate()).contains("max_wait"));
+
+        assert!(err(scripted(vec![(5, Add(2)), (3, Add(3))])).contains("sorted by tick"));
+        assert!(err(scripted(vec![(1, Add(1))])).contains("already a member"));
+        assert!(err(scripted(vec![(1, Drain(2))])).contains("not a member"));
+        assert!(err(scripted(vec![(1, Drain(0)), (2, Drain(1))])).contains("last rank"));
+        // A drained rank may come back, and a joined one may leave.
+        assert_eq!(scripted(vec![(1, Drain(1)), (2, Add(1))]), Ok(()));
+        assert_eq!(scripted(vec![(1, Add(4)), (1, Drain(4))]), Ok(()));
     }
 }

@@ -27,7 +27,8 @@ use peachy_cluster::{EdgeFault, Executor, FaultPlan, TickBackoff};
 use peachy_data::synth::gaussian_blobs;
 use peachy_prng::{mix_seed, Lcg64, RandomStream};
 use peachy_serve::{
-    query_trace, BatchRecord, KnnService, ServeConfig, ServeError, Server, Service,
+    query_trace, BatchRecord, KnnService, ServeConfig, ServeError, Server, Service, ShardConfig,
+    ShardedServer, ShardedService,
 };
 
 /// Fixed regression seeds plus the CI-provided random one.
@@ -256,4 +257,62 @@ fn an_always_panicking_service_is_answered_failed_once() {
     // genuine panic is never replayed.
     assert_eq!(s.worker_respawns(), s.batches());
     assert_eq!((s.replayed(), s.backoff_ticks()), (0, 0));
+}
+
+/// The sharded twin of [`AlwaysPanics`]: every shard batch panics.
+struct AlwaysPanicsSharded;
+
+impl ShardedService for AlwaysPanicsSharded {
+    type Input = u64;
+    type Output = u32;
+    type State = u64;
+
+    fn name(&self) -> &'static str {
+        "always-panics-sharded"
+    }
+
+    fn route_key(&self, input: &u64) -> u64 {
+        *input
+    }
+
+    fn build_shard(&self, shard: usize, _num_shards: usize) -> u64 {
+        shard as u64
+    }
+
+    fn run_shard(&self, _shard: usize, _state: &u64, _inputs: &[u64]) -> Vec<u32> {
+        panic!("this sharded service always panics")
+    }
+}
+
+#[test]
+fn an_always_panicking_sharded_service_is_answered_failed_once() {
+    // The pool's rule on the sharded tier: each batch fails once, on every
+    // backend, and a service panic is not a rank death — no replay, no
+    // reshard, no epoch bump.
+    for exec in [Executor::seq(), Executor::rayon(2), Executor::cluster(2)] {
+        let label = format!("{exec:?}");
+        let cfg = ShardConfig {
+            num_shards: 4,
+            initial_ranks: 2,
+            max_batch_size: 4,
+            max_wait: 2,
+            ..ShardConfig::default()
+        };
+        let mut server = ShardedServer::start(AlwaysPanicsSharded, exec, cfg);
+        let out = server.run_trace((0..10u64).map(|i| (i / 3, i)));
+        let report = server.shutdown();
+        assert!(
+            out.iter().all(|r| *r == Err(ServeError::Failed)),
+            "{label}: every request fails: {out:?}"
+        );
+        let s = &report.stats;
+        assert_eq!(
+            s.completed() + s.failed() + s.rejected(),
+            s.submitted(),
+            "{label}"
+        );
+        assert_eq!((s.submitted(), s.failed()), (10, 10), "{label}");
+        assert_eq!((s.replayed(), s.epochs()), (0, 0), "{label}");
+        assert!(report.reshard_log.is_empty(), "{label}");
+    }
 }

@@ -21,15 +21,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use peachy_data::geo::{locate, Nta, Point, SyntheticCity};
+use peachy_data::geo::{locate, ArrestRecord, CityConfig, Nta, Point, SyntheticCity};
 use peachy_data::iris::iris;
 use peachy_data::synth::gaussian_blobs;
 use peachy_data::LabeledDataset;
-use peachy_dataflow::{Dataset, KeyedDataset, OptimizerConfig, ShuffleStats};
+use peachy_dataflow::{Dataset, KeyedDataset, ShuffleStats};
 
 use crate::expr::{add_values, parse_expr};
 use crate::parse::SpecError;
-use crate::spec::{BlobParams, ScenarioSpec, SourceKind, StageOp};
+use crate::spec::{BlobParams, CityTable, ScenarioSpec, SourceKind, StageOp};
 use crate::value::{Row, Value};
 
 /// One compiled source or stage.
@@ -94,7 +94,7 @@ fn labeled_schema(dims: usize) -> Vec<String> {
 
 /// Build the [`LabeledDataset`] a [`BlobParams`] describes.
 pub(crate) fn make_blobs(p: &BlobParams) -> LabeledDataset {
-    gaussian_blobs(p.n, p.dims, p.classes as u32, p.spread, p.seed)
+    gaussian_blobs(p.n, p.dims, p.classes, p.spread, p.seed)
 }
 
 fn col_idx(schema: &[String], name: &str, line: usize, section: &str) -> Result<usize, SpecError> {
@@ -113,23 +113,18 @@ fn col_idx(schema: &[String], name: &str, line: usize, section: &str) -> Result<
 pub(crate) fn compile(spec: &ScenarioSpec) -> Result<Compiled, SpecError> {
     let stats = ShuffleStats::new();
     let partitions = spec.run.partitions;
-    let mut cfg = if spec.run.naive {
-        OptimizerConfig::naive()
-    } else {
-        OptimizerConfig::default()
-    };
-    cfg.spill_budget = spec.run.spill_budget;
+    let cfg = spec.run.optimizer;
 
     let mut nodes: HashMap<String, Node> = HashMap::new();
     // Cities are deterministic in (config, seed); generate each distinct
     // one once even when several sources view it.
-    let mut cities: Vec<(crate::spec::CityParams, Arc<SyntheticCity>)> = Vec::new();
-    let mut city_for = |params: &crate::spec::CityParams| -> Arc<SyntheticCity> {
-        if let Some((_, city)) = cities.iter().find(|(p, _)| p == params) {
+    let mut cities: Vec<((CityConfig, u64), Arc<SyntheticCity>)> = Vec::new();
+    let mut city_for = |key: (CityConfig, u64)| -> Arc<SyntheticCity> {
+        if let Some((_, city)) = cities.iter().find(|(k, _)| *k == key) {
             return Arc::clone(city);
         }
-        let city = Arc::new(SyntheticCity::generate(params.config(), params.seed));
-        cities.push((params.clone(), Arc::clone(&city)));
+        let city = Arc::new(SyntheticCity::generate(key.0, key.1));
+        cities.push((key, Arc::clone(&city)));
         city
     };
     // Source name → its city, for `locate` boundary lookups.
@@ -141,33 +136,35 @@ pub(crate) fn compile(spec: &ScenarioSpec) -> Result<Compiled, SpecError> {
                 ds: Dataset::from_vec_with(rows.clone(), partitions, cfg),
                 schema: columns.clone(),
             },
-            SourceKind::CityArrests { city, historic } => {
-                let city = city_for(city);
+            SourceKind::City {
+                config,
+                seed,
+                table,
+            } => {
+                let city = city_for((*config, *seed));
                 city_of.insert(src.name.clone(), Arc::clone(&city));
-                let records = if *historic {
-                    &city.arrests_historic
-                } else {
-                    &city.arrests_current
-                };
-                let csv = SyntheticCity::arrests_csv(records);
-                Node::Rows {
-                    ds: Dataset::from_text(&csv, partitions)
+                let arrest_lines = |records: &[ArrestRecord]| Node::Rows {
+                    ds: Dataset::from_text(&SyntheticCity::arrests_csv(records), partitions)
                         .with_optimizer(cfg)
                         .map(|line| vec![Value::Str(line)]),
                     schema: vec!["line".to_string()],
-                }
-            }
-            SourceKind::CityPopulation { city } => {
-                let city = city_for(city);
-                city_of.insert(src.name.clone(), Arc::clone(&city));
-                let rows: Vec<Row> = city
-                    .population
-                    .iter()
-                    .map(|(code, pop)| vec![Value::Str(code.clone()), Value::Int(*pop as i64)])
-                    .collect();
-                Node::Rows {
-                    ds: Dataset::from_vec_with(rows, partitions, cfg),
-                    schema: vec!["code".to_string(), "population".to_string()],
+                };
+                match table {
+                    CityTable::CurrentArrests => arrest_lines(&city.arrests_current),
+                    CityTable::HistoricArrests => arrest_lines(&city.arrests_historic),
+                    CityTable::Population => {
+                        let rows: Vec<Row> = city
+                            .population
+                            .iter()
+                            .map(|(code, pop)| {
+                                vec![Value::Str(code.clone()), Value::Int(*pop as i64)]
+                            })
+                            .collect();
+                        Node::Rows {
+                            ds: Dataset::from_vec_with(rows, partitions, cfg),
+                            schema: vec!["code".to_string(), "population".to_string()],
+                        }
+                    }
                 }
             }
             SourceKind::Blobs(p) => {

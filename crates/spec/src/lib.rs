@@ -46,7 +46,7 @@
 //! assert_eq!(report.rows.len(), 2);
 //! ```
 //!
-//! Three design rules keep the layer honest:
+//! Four design rules keep the layer honest:
 //!
 //! 1. **Compile, don't interpret.** A spec lowers to the same
 //!    [`Dataset`](peachy_dataflow::Dataset)/[`KeyedDataset`](peachy_dataflow::KeyedDataset)
@@ -55,15 +55,26 @@
 //!    determinism laws — apply without a parallel code path. The
 //!    equivalence suite pins committed specs bit-identical (rows *and*
 //!    shuffle counters) to their Rust twins.
-//! 2. **Errors name the line.** Every parse or validation failure
-//!    reports the line, the section, and — when a key or reference is
-//!    merely misspelled — a `did you mean` hint from edit distance over
-//!    the known names.
-//! 3. **Chaos is part of the scenario.** A `[fault]` section compiles to
-//!    the engine's [`FaultPlan`](peachy_cluster::FaultPlan); pipelines
-//!    take its transport half on cluster backends, the sharded tier
-//!    takes kills and revivals too, and a reseeded chaotic run must
-//!    equal the clean one bit-for-bit.
+//! 2. **The engine's configs, not mirrors.** A parsed scenario holds
+//!    the engine's own [`OptimizerConfig`](peachy_dataflow::OptimizerConfig),
+//!    [`CityConfig`](peachy_data::geo::CityConfig),
+//!    [`ServeConfig`](peachy_serve::ServeConfig) (a pool service) and
+//!    [`ShardConfig`](peachy_serve::ShardConfig) (`knn_sharded`, with
+//!    `[backoff]` and `[scaling]`), so a knob has one meaning and one
+//!    default. A rider section belongs to one tier: `[serve]` to the
+//!    pool, `[shard]`/`[backoff]`/`[scaling]` to the sharded tier.
+//! 3. **Errors name the line, and nothing panics.** Every parse or
+//!    validation failure reports the line, the section, and — when a
+//!    key or reference is merely misspelled — a `did you mean` hint from
+//!    edit distance over the known names. A well-typed value out of
+//!    range is a [`SpecError`] too: each engine config's own `validate`
+//!    is reported at its section's line, and the spec's own values at
+//!    their entry's line, before any engine assert can see them.
+//! 4. **Chaos is part of the scenario.** A `[fault]` section is the
+//!    engine's [`FaultPlan`](peachy_cluster::FaultPlan); pipelines take
+//!    its transport half on cluster backends, the sharded tier takes
+//!    kills and revivals too, the fixed pool rejects it, and a reseeded
+//!    chaotic run must equal the clean one bit-for-bit.
 
 pub mod compile;
 pub mod expr;
@@ -75,7 +86,7 @@ pub mod value;
 pub use parse::{nearest, parse_document, RawDoc, RawEntry, RawSection, RawValue, SpecError};
 pub use run::{Counters, RunOptions, Runner, ScenarioReport, ServeCounters};
 pub use spec::{
-    parse_scenario, BlobParams, CityParams, DataSpec, FaultSpec, RunSpec, ScenarioSpec,
-    ServiceKind, ServiceSpec, SinkSpec, SourceDecl, SourceKind, StageDecl, StageOp, TraceSpec,
+    parse_scenario, BlobParams, CityTable, DataSpec, PoolModel, RunSpec, ScenarioSpec, ServiceKind,
+    ServiceSpec, SinkSpec, SourceDecl, SourceKind, StageDecl, StageOp, TraceSpec,
 };
 pub use value::{Row, Value};

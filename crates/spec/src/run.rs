@@ -12,14 +12,16 @@
 //! Chaos placement follows the engine's conventions: a `[fault]` section
 //! rides a `cluster:N` pipeline executor as its *transport-only* plan
 //! (kills don't apply to a collect), while the sharded tier takes the
-//! full plan — kills, revivals and all. [`RunOptions::chaos_seed`]
-//! reseeds the plan, the `PEACHY_CHAOS_SEED` convention of the CI chaos
-//! jobs.
+//! full plan — kills, revivals and all — as its `ShardConfig::plan`, the
+//! one config field set here rather than by the parser. The fixed pool
+//! takes none: the parser rejects `[fault]` under a pool service.
+//! [`RunOptions::chaos_seed`] reseeds the plan, the `PEACHY_CHAOS_SEED`
+//! convention of the CI chaos jobs.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use peachy_cluster::{Executor, FaultPlan, TickBackoff};
+use peachy_cluster::{Executor, FaultPlan};
 use peachy_data::iris::iris;
 use peachy_data::split::train_test_split;
 use peachy_data::LabeledDataset;
@@ -28,13 +30,14 @@ use peachy_ensemble::nn::{DenseNet, NetConfig, TrainConfig};
 use peachy_kmeans::init::kmeans_plus_plus;
 use peachy_serve::{
     keyed_query_trace, query_trace, EnsembleService, KmeansAssignService, KnnService, ServeConfig,
-    ServeError, Server, ServerStats, ShardConfig, ShardedKnnService, ShardedServer,
+    ServeError, Server, ServerStats, Service, ShardConfig, ShardedKnnService, ShardedServer,
 };
 
 use crate::compile::{compile, make_blobs, Node};
 use crate::parse::SpecError;
 use crate::spec::{
-    parse_scenario, DataSpec, ScenarioSpec, ServiceKind, ServiceSpec, SinkSpec, TraceSpec,
+    parse_scenario, DataSpec, PoolModel, ScenarioSpec, ServiceKind, ServiceSpec, SinkSpec,
+    TraceSpec,
 };
 use crate::value::{Row, Value};
 
@@ -246,18 +249,17 @@ impl Runner {
         }
     }
 
-    /// The spec's fault plan under the run's seed override, or `None`
-    /// when absent or disabled.
-    fn fault_plan(&self, opts: &RunOptions) -> Option<FaultPlan> {
-        let fault = self.spec.fault.as_ref()?;
+    /// The spec's fault plan under the run's seed override; empty when
+    /// the spec has none or the run disables it.
+    fn fault_plan(&self, opts: &RunOptions) -> FaultPlan {
         if !opts.apply_fault {
-            return None;
+            return FaultPlan::none();
         }
-        let mut plan = fault.plan();
-        if let Some(seed) = opts.chaos_seed {
-            plan = plan.with_seed(seed);
+        let plan = self.spec.fault.clone();
+        match opts.chaos_seed {
+            Some(seed) => plan.with_seed(seed),
+            None => plan,
         }
-        Some(plan)
     }
 
     // -- pipelines ---------------------------------------------------------
@@ -270,12 +272,13 @@ impl Runner {
             .expect("validated: sink xor service");
         // Transport chaos rides a cluster backend; kills don't apply to a
         // one-shot collect, so only the transport half of the plan is used.
-        let exec = match (&opts.executor, self.fault_plan(opts)) {
-            (Executor::Cluster { ranks, .. }, Some(plan)) => Executor::Cluster {
+        let plan = self.fault_plan(opts);
+        let exec = match &opts.executor {
+            Executor::Cluster { ranks, .. } if !plan.is_empty() => Executor::Cluster {
                 ranks: *ranks,
                 plan: plan.transport_only(),
             },
-            (exec, _) => exec.clone(),
+            exec => exec.clone(),
         };
 
         let compiled = compile(&self.spec)?;
@@ -369,6 +372,8 @@ impl Runner {
         svc: &ServiceSpec,
         opts: &RunOptions,
     ) -> Result<ScenarioReport, SpecError> {
+        // Checks that need the built data, reported at the `[service]` line.
+        let bad = |section: &str, msg: String| SpecError::at(svc.line, section, msg);
         // The service's data, and (for test_split traces) the held-out rows.
         let (data, test): (LabeledDataset, Option<LabeledDataset>) = match &svc.data {
             DataSpec::Iris {
@@ -380,124 +385,100 @@ impl Runner {
             DataSpec::Iris { split: None } => (iris(), None),
             DataSpec::Blobs(p) => (make_blobs(p), None),
         };
+        if let TraceSpec::Queries { pool, .. } = &svc.trace {
+            if pool.dims != data.dims() {
+                return Err(bad(
+                    "trace",
+                    format!(
+                        "query pool has {} dims, the service's data {}",
+                        pool.dims,
+                        data.dims()
+                    ),
+                ));
+            }
+        }
 
-        let trace: Vec<(u64, Vec<f64>)> = match &svc.trace {
-            TraceSpec::TestSplit => {
-                let test = test.as_ref().expect("validated: test_split implies split");
-                (0..test.len())
-                    .map(|i| (0, test.points.row(i).to_vec()))
-                    .collect()
-            }
-            TraceSpec::Queries {
-                pool,
-                seed,
-                ticks,
-                rate,
-            } => query_trace(*seed, *ticks, *rate, &make_blobs(pool).points),
-            // Keyed traces are built inside the sharded path below.
-            TraceSpec::KeyedQueries { .. } => Vec::new(),
-        };
-
-        let serve_cfg = {
-            let mut cfg = ServeConfig::default();
-            if let Some(v) = svc.serve.capacity {
-                cfg.capacity = v;
-            }
-            if let Some(v) = svc.serve.max_batch_size {
-                cfg.max_batch_size = v;
-            }
-            if let Some(v) = svc.serve.max_wait {
-                cfg.max_wait = v;
-            }
-            if let Some(v) = svc.serve.workers {
-                cfg.workers = v;
-            }
-            cfg
-        };
-
-        let (responses, stats): (Vec<Result<u32, ServeError>>, Arc<ServerStats>) = match &svc.kind {
-            ServiceKind::Knn => {
-                let server = Server::start(
-                    KnnService::new(data, svc.k),
-                    opts.executor.clone(),
-                    serve_cfg,
-                );
-                let responses = server.run_trace(trace);
-                (responses, server.shutdown().stats)
-            }
-            ServiceKind::KmeansAssign { centroid_seed } => {
-                let centroids = kmeans_plus_plus(&data.points, svc.k, *centroid_seed);
-                let server = Server::start(
-                    KmeansAssignService::new(centroids),
-                    opts.executor.clone(),
-                    serve_cfg,
-                );
-                let responses = server.run_trace(trace);
-                (responses, server.shutdown().stats)
-            }
-            ServiceKind::Ensemble {
-                hidden,
-                epochs,
-                train_seed,
-            } => {
-                let config = NetConfig {
-                    layers: vec![data.dims(), *hidden, data.classes as usize],
+        let (responses, stats) = match &svc.kind {
+            ServiceKind::Pool { model, serve } => {
+                let trace: Vec<(u64, Vec<f64>)> = match &svc.trace {
+                    TraceSpec::TestSplit => {
+                        let test = test.as_ref().expect("validated: test_split implies split");
+                        (0..test.len())
+                            .map(|i| (0, test.points.row(i).to_vec()))
+                            .collect()
+                    }
+                    TraceSpec::Queries {
+                        pool,
+                        seed,
+                        ticks,
+                        rate,
+                        ..
+                    } => query_trace(*seed, *ticks, *rate, &make_blobs(pool).points),
                 };
-                let tc = TrainConfig {
-                    epochs: *epochs,
-                    seed: *train_seed,
-                    ..TrainConfig::default()
-                };
-                let mut net = DenseNet::new(&config, *train_seed);
-                net.train(&data, &tc);
-                let server =
-                    Server::start(EnsembleService::new(net), opts.executor.clone(), serve_cfg);
-                let responses = server.run_trace(trace);
-                (responses, server.shutdown().stats)
+                let exec = &opts.executor;
+                match model {
+                    PoolModel::Knn => serve_pool(KnnService::new(data, svc.k), exec, serve, trace),
+                    PoolModel::KmeansAssign { centroid_seed } => {
+                        if svc.k > data.len() {
+                            return Err(bad(
+                                "service",
+                                format!(
+                                    "kmeans_assign needs k ≤ training rows, got k = {} over {} rows",
+                                    svc.k,
+                                    data.len()
+                                ),
+                            ));
+                        }
+                        let centroids = kmeans_plus_plus(&data.points, svc.k, *centroid_seed);
+                        serve_pool(KmeansAssignService::new(centroids), exec, serve, trace)
+                    }
+                    PoolModel::Ensemble {
+                        hidden,
+                        epochs,
+                        train_seed,
+                    } => {
+                        let config = NetConfig {
+                            layers: vec![data.dims(), *hidden, data.classes as usize],
+                        };
+                        let tc = TrainConfig {
+                            epochs: *epochs,
+                            seed: *train_seed,
+                            ..TrainConfig::default()
+                        };
+                        let mut net = DenseNet::new(&config, *train_seed);
+                        net.train(&data, &tc);
+                        serve_pool(EnsembleService::new(net), exec, serve, trace)
+                    }
+                }
             }
-            ServiceKind::KnnSharded => {
-                let TraceSpec::KeyedQueries {
+            ServiceKind::KnnSharded(cfg) => {
+                let TraceSpec::Queries {
                     pool,
                     seed,
                     ticks,
                     rate,
+                    ..
                 } = &svc.trace
                 else {
                     unreachable!("validated: knn_sharded implies keyed_queries");
                 };
+                if data.len() < cfg.num_shards {
+                    return Err(bad(
+                        "service",
+                        format!(
+                            "knn_sharded needs a data row per shard, got {} rows for {} shards",
+                            data.len(),
+                            cfg.num_shards
+                        ),
+                    ));
+                }
                 let keyed = keyed_query_trace(*seed, *ticks, *rate, &make_blobs(pool).points);
-                let mut cfg = ShardConfig::default();
-                if let Some(v) = svc.shard.num_shards {
-                    cfg.num_shards = v;
-                }
-                if let Some(v) = svc.shard.vnodes {
-                    cfg.vnodes = v;
-                }
-                if let Some(v) = svc.shard.seed {
-                    cfg.seed = v;
-                }
-                if let Some(v) = svc.shard.initial_ranks {
-                    cfg.initial_ranks = v;
-                }
-                if let Some(v) = svc.shard.capacity {
-                    cfg.capacity = v;
-                }
-                if let Some(v) = svc.shard.max_batch_size {
-                    cfg.max_batch_size = v;
-                }
-                if let Some(v) = svc.shard.max_wait {
-                    cfg.max_wait = v;
-                }
-                if let Some(v) = svc.shard.full_rebuild {
-                    cfg.full_rebuild = v;
-                }
-                if let Some((base, jitter, seed)) = svc.backoff {
-                    cfg.backoff = TickBackoff::linear(base, jitter, seed);
-                }
                 // The elastic tier takes the FULL plan: kills, revivals,
                 // transport chaos — replay keeps the answers clean.
-                cfg.plan = self.fault_plan(opts).unwrap_or_else(FaultPlan::none);
-                cfg.scaling = svc.scaling.clone();
+                let cfg = ShardConfig {
+                    plan: self.fault_plan(opts),
+                    ..cfg.clone()
+                };
                 let mut server = ShardedServer::start(
                     ShardedKnnService::new(data, svc.k),
                     opts.executor.clone(),
@@ -528,6 +509,22 @@ impl Runner {
             explain: None,
         })
     }
+}
+
+/// Stand up a fixed-pool server, drive `trace` through it, and shut it
+/// down: the one run every pool service shares.
+fn serve_pool<S>(
+    service: S,
+    exec: &Executor,
+    cfg: &ServeConfig,
+    trace: Vec<(u64, Vec<f64>)>,
+) -> (Vec<Result<u32, ServeError>>, Arc<ServerStats>)
+where
+    S: Service<Input = Vec<f64>, Output = u32>,
+{
+    let server = Server::start(service, exec.clone(), cfg.clone());
+    let responses = server.run_trace(trace);
+    (responses, server.shutdown().stats)
 }
 
 /// Stable sort by the sink's keys (leftmost outermost), using the

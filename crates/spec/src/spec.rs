@@ -7,12 +7,21 @@
 //! fail here — with the offending line, the enclosing section, and a
 //! "did you mean" hint — before any dataset is built.
 //!
+//! The scenario holds the engine's own configs, built as the sections
+//! are read, so an out-of-range value fails here too: a config's own
+//! `validate` error at its section's line, a spec value's at its entry's.
+//!
 //! The grammar reference lives in `DESIGN.md` ("The scenario layer");
 //! the lowering onto dataflow/serve is in [`crate::compile`] and
 //! [`crate::run`].
 
+use std::fmt;
+use std::time::Duration;
+
+use peachy_cluster::{EdgeFault, FaultPlan, TickBackoff};
 use peachy_data::geo::CityConfig;
-use peachy_serve::ScaleEvent;
+use peachy_dataflow::OptimizerConfig;
+use peachy_serve::{ScaleEvent, ServeConfig, ShardConfig};
 
 use crate::parse::{parse_document, RawDoc, RawEntry, RawSection, RawValue, SpecError};
 use crate::value::{Row, Value};
@@ -22,6 +31,19 @@ const KNOWN_SECTIONS: &[&str] = &[
     "scenario", "run", "source", "stage", "sink", "service", "serve", "shard", "backoff", "fault",
     "scaling", "trace", "report",
 ];
+
+/// The sections that shape a serving tier rather than declare something,
+/// each with the tier that reads it. A rider belongs to one tier, and the
+/// other tier rejects it; only `[fault]` also rides a pipeline.
+const RIDERS: &[(&str, &str)] = &[
+    ("serve", POOL),
+    ("shard", SHARDED),
+    ("backoff", SHARDED),
+    ("scaling", SHARDED),
+    ("fault", SHARDED),
+];
+const POOL: &str = "the fixed pool";
+const SHARDED: &str = "the sharded tier";
 
 /// A validated scenario: either a pipeline (`sources → stages → sink`)
 /// or a service run (`[service]` + `[trace]`), plus the shared knobs.
@@ -40,8 +62,9 @@ pub struct ScenarioSpec {
     /// `[service]` (+ `[serve]`/`[shard]`/`[backoff]`/`[scaling]`/`[trace]`).
     pub service: Option<ServiceSpec>,
     /// `[fault]`: transport chaos for cluster pipelines, the full plan
-    /// (kills included) for the sharded serving tier.
-    pub fault: Option<FaultSpec>,
+    /// (kills included) for the sharded serving tier. Empty without a
+    /// `[fault]` section.
+    pub fault: FaultPlan,
     /// `[report] explain = true`: attach the optimizer's plan rendering.
     pub explain: bool,
 }
@@ -51,18 +74,15 @@ pub struct ScenarioSpec {
 pub struct RunSpec {
     /// Partitions per source dataset.
     pub partitions: usize,
-    /// `optimizer = naive` disables fusion/elision/auto-cache.
-    pub naive: bool,
-    /// `spill_budget = N`: byte budget handed to the partition stores.
-    pub spill_budget: Option<u64>,
+    /// `optimizer` (`default` or `naive`) with its `spill_budget`.
+    pub optimizer: OptimizerConfig,
 }
 
 impl Default for RunSpec {
     fn default() -> Self {
         Self {
             partitions: 4,
-            naive: false,
-            spill_budget: None,
+            optimizer: OptimizerConfig::default(),
         }
     }
 }
@@ -88,18 +108,14 @@ pub enum SourceKind {
         /// Parsed rows (cells inferred int → float → string).
         rows: Vec<Row>,
     },
-    /// Raw arrest CSV lines of a generated synthetic city (one string
-    /// column `line`), exactly what `Dataset::from_text` ingests.
-    CityArrests {
-        /// Generator parameters.
-        city: CityParams,
-        /// Current-year or historic table.
-        historic: bool,
-    },
-    /// `(code, population)` rows of a generated city.
-    CityPopulation {
-        /// Generator parameters.
-        city: CityParams,
+    /// One table of a generated synthetic city.
+    City {
+        /// Generator config.
+        config: CityConfig,
+        /// Generator seed.
+        seed: u64,
+        /// Which table.
+        table: CityTable,
     },
     /// Gaussian blob rows: `label` + `x0..x{dims-1}`.
     Blobs(BlobParams),
@@ -107,40 +123,16 @@ pub enum SourceKind {
     Iris,
 }
 
-/// [`CityConfig`] plus the generator seed, as written in a spec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CityParams {
-    /// NTA grid width.
-    pub grid_w: usize,
-    /// NTA grid height.
-    pub grid_h: usize,
-    /// Arrests per table.
-    pub arrests: usize,
-    /// Fraction of dirty (unparsable) rows.
-    pub dirty_frac: f64,
-    /// Arrest hotspots.
-    pub hotspots: usize,
-    /// The "current" year.
-    pub current_year: u32,
-    /// Historic years generated.
-    pub historic_years: u32,
-    /// Generator seed.
-    pub seed: u64,
-}
-
-impl CityParams {
-    /// The equivalent generator config.
-    pub fn config(&self) -> CityConfig {
-        CityConfig {
-            grid_w: self.grid_w,
-            grid_h: self.grid_h,
-            arrests: self.arrests,
-            dirty_frac: self.dirty_frac,
-            hotspots: self.hotspots,
-            current_year: self.current_year,
-            historic_years: self.historic_years,
-        }
-    }
+/// The tables a city source can yield.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CityTable {
+    /// `kind = city_arrests`: raw current-year arrest CSV lines (one
+    /// string column `line`), exactly what `Dataset::from_text` ingests.
+    CurrentArrests,
+    /// `kind = city_arrests`, `table = historic`: the earlier years' lines.
+    HistoricArrests,
+    /// `kind = city_population`: `(code, population)` rows.
+    Population,
 }
 
 /// `gaussian_blobs` parameters.
@@ -151,7 +143,7 @@ pub struct BlobParams {
     /// Dimensions.
     pub dims: usize,
     /// Classes / blob centers.
-    pub classes: usize,
+    pub classes: u32,
     /// Cluster spread.
     pub spread: f64,
     /// Generator seed.
@@ -269,7 +261,7 @@ pub struct SinkSpec {
 /// `[service]` plus its rider sections.
 #[derive(Debug, Clone)]
 pub struct ServiceSpec {
-    /// Which service to stand up.
+    /// Which service to stand up, on which tier.
     pub kind: ServiceKind,
     /// Header line.
     pub line: usize,
@@ -277,22 +269,30 @@ pub struct ServiceSpec {
     pub k: usize,
     /// The dataset behind the service.
     pub data: DataSpec,
-    /// `[serve]` overrides for the fixed-pool server.
-    pub serve: ServeSpec,
-    /// `[shard]` overrides for the elastic tier.
-    pub shard: ShardSpec,
-    /// `[backoff]`: linear tick backoff `(base, jitter, seed)`.
-    pub backoff: Option<(u64, u64, u64)>,
-    /// `[scaling]` events: `(tick, event)`.
-    pub scaling: Vec<(u64, ScaleEvent)>,
     /// `[trace]`: the offered load.
     pub trace: TraceSpec,
 }
 
-/// Service kinds the runner can stand up.
+/// Service kinds the runner can stand up, each with its tier's config.
 #[derive(Debug, Clone)]
 pub enum ServiceKind {
-    /// Fixed-pool k-NN classification.
+    /// A model on the fixed-pool server, shaped by `[serve]`.
+    Pool {
+        /// The served model.
+        model: PoolModel,
+        /// The server's config.
+        serve: ServeConfig,
+    },
+    /// Elastic sharded k-NN (consistent-hash shard map, scripted scaling
+    /// and faults), shaped by `[shard]`, `[backoff]` and `[scaling]`. Its
+    /// `plan` is the scenario's `[fault]`, attached at run time.
+    KnnSharded(ShardConfig),
+}
+
+/// The models the fixed pool serves.
+#[derive(Debug, Clone)]
+pub enum PoolModel {
+    /// k-NN classification.
     Knn,
     /// Nearest-centroid assignment (k-means++ seeded from the data).
     KmeansAssign {
@@ -308,9 +308,6 @@ pub enum ServiceKind {
         /// Training seed.
         train_seed: u64,
     },
-    /// Elastic sharded k-NN (consistent-hash shard map, scripted scaling
-    /// and faults).
-    KnnSharded,
 }
 
 /// Where the service's labeled data comes from.
@@ -325,46 +322,13 @@ pub enum DataSpec {
     Blobs(BlobParams),
 }
 
-/// `[serve]` overrides; `None` keeps `ServeConfig::default()`.
-#[derive(Debug, Clone, Default)]
-pub struct ServeSpec {
-    /// Admission capacity.
-    pub capacity: Option<usize>,
-    /// Batch-close size.
-    pub max_batch_size: Option<usize>,
-    /// Batch-close wait.
-    pub max_wait: Option<u64>,
-    /// Worker threads.
-    pub workers: Option<usize>,
-}
-
-/// `[shard]` overrides; `None` keeps `ShardConfig::default()`.
-#[derive(Debug, Clone, Default)]
-pub struct ShardSpec {
-    /// Shard count.
-    pub num_shards: Option<usize>,
-    /// Virtual nodes per member.
-    pub vnodes: Option<usize>,
-    /// Ring seed.
-    pub seed: Option<u64>,
-    /// Starting membership.
-    pub initial_ranks: Option<usize>,
-    /// Admission capacity.
-    pub capacity: Option<usize>,
-    /// Batch-close size.
-    pub max_batch_size: Option<usize>,
-    /// Batch-close wait.
-    pub max_wait: Option<u64>,
-    /// Rebuild every shard on membership change instead of the delta.
-    pub full_rebuild: Option<bool>,
-}
-
 /// `[trace]`.
 #[derive(Debug, Clone)]
 pub enum TraceSpec {
     /// Submit every test row of the service's iris split at tick 0.
     TestSplit,
-    /// `query_trace(seed, ticks, rate, pool)`.
+    /// `query_trace(seed, ticks, rate, pool)`, or `keyed_query_trace`
+    /// when `keyed` (the sharded tier).
     Queries {
         /// Query pool generator.
         pool: BlobParams,
@@ -374,58 +338,9 @@ pub enum TraceSpec {
         ticks: u64,
         /// Mean arrivals per tick.
         rate: f64,
+        /// `kind = keyed_queries`: each query carries a routing key.
+        keyed: bool,
     },
-    /// `keyed_query_trace(seed, ticks, rate, pool)` (sharded tier).
-    KeyedQueries {
-        /// Query pool generator.
-        pool: BlobParams,
-        /// Arrival seed.
-        seed: u64,
-        /// Trace length.
-        ticks: u64,
-        /// Mean arrivals per tick.
-        rate: f64,
-    },
-}
-
-/// `[fault]`: a declarative [`FaultPlan`](peachy_cluster::FaultPlan).
-#[derive(Debug, Clone)]
-pub struct FaultSpec {
-    /// Fault-stream seed (overridable at run time, the
-    /// `PEACHY_CHAOS_SEED` convention).
-    pub seed: u64,
-    /// Per-message drop probability.
-    pub drop_p: f64,
-    /// Per-message duplication probability.
-    pub dup_p: f64,
-    /// Per-message reorder probability.
-    pub reorder_p: f64,
-    /// Maximum delivery delay in milliseconds.
-    pub delay_ms: u64,
-    /// `kill = "rank @ after"` entries.
-    pub kills: Vec<(usize, u64)>,
-    /// `revive = "rank @ after"` entries.
-    pub revives: Vec<(usize, u64)>,
-}
-
-impl FaultSpec {
-    /// Build the full plan (transport faults + kills + revivals).
-    pub fn plan(&self) -> peachy_cluster::FaultPlan {
-        let mut plan =
-            peachy_cluster::FaultPlan::new(self.seed).all_edges(peachy_cluster::EdgeFault {
-                drop_p: self.drop_p,
-                dup_p: self.dup_p,
-                reorder_p: self.reorder_p,
-                delay: std::time::Duration::from_millis(self.delay_ms),
-            });
-        for &(rank, after) in &self.kills {
-            plan = plan.kill(rank, after);
-        }
-        for &(rank, after) in &self.revives {
-            plan = plan.revive(rank, after);
-        }
-        plan
-    }
 }
 
 /// Parse and validate `.peachy` text into a [`ScenarioSpec`].
@@ -527,6 +442,61 @@ fn opt<T>(
     f: impl Fn(&RawSection, &RawEntry) -> Result<T, SpecError>,
 ) -> Result<Option<T>, SpecError> {
     sec.get(key).map(|e| f(sec, e)).transpose()
+}
+
+/// Overwrite `field` with `key`'s value, when the section sets it.
+fn set<T>(
+    sec: &RawSection,
+    key: &str,
+    f: impl Fn(&RawSection, &RawEntry) -> Result<T, SpecError>,
+    field: &mut T,
+) -> Result<(), SpecError> {
+    if let Some(v) = opt(sec, key, f)? {
+        *field = v;
+    }
+    Ok(())
+}
+
+/// `v`, the value of `e`, when `ok`; otherwise a range error saying what
+/// `e` must be.
+fn in_range<T: fmt::Display>(
+    sec: &RawSection,
+    e: &RawEntry,
+    v: T,
+    ok: bool,
+    want: &str,
+) -> Result<T, SpecError> {
+    if ok {
+        return Ok(v);
+    }
+    Err(SpecError::at(
+        e.line,
+        &sec.name,
+        format!("`{}` = {v} is out of range: it must be {want}", e.key),
+    ))
+}
+
+/// A count that must be at least 1.
+fn as_count(sec: &RawSection, e: &RawEntry) -> Result<usize, SpecError> {
+    let n = as_usize(sec, e)?;
+    in_range(sec, e, n, n >= 1, "at least 1")
+}
+
+/// A finite, non-negative number.
+fn as_nonneg(sec: &RawSection, e: &RawEntry) -> Result<f64, SpecError> {
+    let x = as_f64(sec, e)?;
+    in_range(
+        sec,
+        e,
+        x,
+        x.is_finite() && x >= 0.0,
+        "finite and at least 0",
+    )
+}
+
+/// An engine config's own `validate` error, at `sec`'s header line.
+fn invalid(sec: &RawSection, message: String) -> SpecError {
+    SpecError::at(sec.line, &sec.name, message)
 }
 
 /// Split a comma-separated list (`"a, b"`) into trimmed names.
@@ -637,28 +607,28 @@ fn sort_keys(sec: &RawSection, e: &RawEntry) -> Result<Vec<(String, bool, usize)
 // ---------------------------------------------------------------------------
 // Section validators.
 
-fn city_params(sec: &RawSection) -> Result<CityParams, SpecError> {
-    let d = CityConfig::default();
-    Ok(CityParams {
-        grid_w: opt(sec, "grid_w", as_usize)?.unwrap_or(d.grid_w),
-        grid_h: opt(sec, "grid_h", as_usize)?.unwrap_or(d.grid_h),
-        arrests: opt(sec, "arrests", as_usize)?.unwrap_or(d.arrests),
-        dirty_frac: opt(sec, "dirty_frac", as_f64)?.unwrap_or(d.dirty_frac),
-        hotspots: opt(sec, "hotspots", as_usize)?.unwrap_or(d.hotspots),
-        current_year: opt(sec, "current_year", as_u32)?.unwrap_or(d.current_year),
-        historic_years: opt(sec, "historic_years", as_u32)?.unwrap_or(d.historic_years),
-        seed: as_u64(sec, req(sec, "seed")?)?,
-    })
+fn city_config(sec: &RawSection) -> Result<(CityConfig, u64), SpecError> {
+    let mut c = CityConfig::default();
+    set(sec, "grid_w", as_usize, &mut c.grid_w)?;
+    set(sec, "grid_h", as_usize, &mut c.grid_h)?;
+    set(sec, "arrests", as_usize, &mut c.arrests)?;
+    set(sec, "dirty_frac", as_f64, &mut c.dirty_frac)?;
+    set(sec, "hotspots", as_usize, &mut c.hotspots)?;
+    set(sec, "current_year", as_u32, &mut c.current_year)?;
+    set(sec, "historic_years", as_u32, &mut c.historic_years)?;
+    c.validate().map_err(|m| invalid(sec, m))?;
+    Ok((c, as_u64(sec, req(sec, "seed")?)?))
 }
 
 fn blob_params(sec: &RawSection, prefix: &str) -> Result<BlobParams, SpecError> {
-    let key = |k: &str| format!("{prefix}{k}");
-    let get = |k: &str| req(sec, &key(k));
+    let get = |k: &str| req(sec, &format!("{prefix}{k}"));
+    let classes = get("classes")?;
+    let c = as_u32(sec, classes)?;
     Ok(BlobParams {
-        n: as_usize(sec, get("n")?)?,
-        dims: as_usize(sec, get("dims")?)?,
-        classes: as_usize(sec, get("classes")?)?,
-        spread: as_f64(sec, get("spread")?)?,
+        n: as_count(sec, get("n")?)?,
+        dims: as_count(sec, get("dims")?)?,
+        classes: in_range(sec, classes, c, c >= 1, "at least 1")?,
+        spread: as_nonneg(sec, get("spread")?)?,
         seed: as_u64(sec, get("seed")?)?,
     })
 }
@@ -710,36 +680,35 @@ fn source_decl(sec: &RawSection, name: &str) -> Result<SourceDecl, SpecError> {
             }
             SourceKind::Inline { columns, rows }
         }
-        "city_arrests" => {
+        "city_arrests" | "city_population" => {
             check_keys(sec, CITY_KEYS, &[])?;
-            let historic = match opt(sec, "table", as_str)?.as_deref() {
-                None | Some("current") => false,
-                Some("historic") => true,
-                Some(other) => {
+            let table = opt(sec, "table", as_str)?;
+            let table_line = || sec.get("table").expect("present").line;
+            let table = match (kind_name.as_str(), table.as_deref()) {
+                ("city_population", None) => CityTable::Population,
+                ("city_population", Some(_)) => {
                     return Err(SpecError::at(
-                        sec.get("table").expect("present").line,
+                        table_line(),
+                        &sec.name,
+                        "`table` only applies to kind = city_arrests",
+                    ))
+                }
+                (_, None | Some("current")) => CityTable::CurrentArrests,
+                (_, Some("historic")) => CityTable::HistoricArrests,
+                (_, Some(other)) => {
+                    return Err(SpecError::at(
+                        table_line(),
                         &sec.name,
                         format!("`table` must be `current` or `historic`, got `{other}`"),
                     )
                     .with_hint_from(other, &["current", "historic"]))
                 }
             };
-            SourceKind::CityArrests {
-                city: city_params(sec)?,
-                historic,
-            }
-        }
-        "city_population" => {
-            check_keys(sec, CITY_KEYS, &[])?;
-            if sec.get("table").is_some() {
-                return Err(SpecError::at(
-                    sec.get("table").expect("present").line,
-                    &sec.name,
-                    "`table` only applies to kind = city_arrests",
-                ));
-            }
-            SourceKind::CityPopulation {
-                city: city_params(sec)?,
+            let (config, seed) = city_config(sec)?;
+            SourceKind::City {
+                config,
+                seed,
+                table,
             }
         }
         "blobs" => {
@@ -933,7 +902,11 @@ fn sink_spec(sec: &RawSection) -> Result<SinkSpec, SpecError> {
     })
 }
 
-fn service_spec(sec: &RawSection) -> Result<(ServiceKind, usize, DataSpec, usize), SpecError> {
+/// `[service]` up to its tier: the kind as written, the pool model
+/// (`None` for `knn_sharded`), `k` and the data.
+type ServiceHead = (String, Option<PoolModel>, usize, DataSpec);
+
+fn service_spec(sec: &RawSection) -> Result<ServiceHead, SpecError> {
     const KINDS: &[&str] = &["knn", "kmeans_assign", "ensemble", "knn_sharded"];
     const DATA: &[&str] = &["iris", "blobs"];
     check_keys(
@@ -958,17 +931,17 @@ fn service_spec(sec: &RawSection) -> Result<(ServiceKind, usize, DataSpec, usize
     )?;
     let kind_entry = req(sec, "kind")?;
     let kind_name = as_str(sec, kind_entry)?;
-    let kind = match kind_name.as_str() {
-        "knn" => ServiceKind::Knn,
-        "knn_sharded" => ServiceKind::KnnSharded,
-        "kmeans_assign" => ServiceKind::KmeansAssign {
+    let model = match kind_name.as_str() {
+        "knn" => Some(PoolModel::Knn),
+        "knn_sharded" => None,
+        "kmeans_assign" => Some(PoolModel::KmeansAssign {
             centroid_seed: opt(sec, "centroid_seed", as_u64)?.unwrap_or(1),
-        },
-        "ensemble" => ServiceKind::Ensemble {
-            hidden: opt(sec, "hidden", as_usize)?.unwrap_or(16),
-            epochs: opt(sec, "epochs", as_usize)?.unwrap_or(4),
+        }),
+        "ensemble" => Some(PoolModel::Ensemble {
+            hidden: opt(sec, "hidden", as_count)?.unwrap_or(16),
+            epochs: opt(sec, "epochs", as_count)?.unwrap_or(4),
             train_seed: opt(sec, "train_seed", as_u64)?.unwrap_or(1),
-        },
+        }),
         other => {
             return Err(SpecError::at(
                 kind_entry.line,
@@ -985,8 +958,12 @@ fn service_spec(sec: &RawSection) -> Result<(ServiceKind, usize, DataSpec, usize
     let data_name = as_str(sec, data_entry)?;
     let data = match data_name.as_str() {
         "iris" => {
-            let split = match (opt(sec, "split", as_f64)?, opt(sec, "split_seed", as_u64)?) {
-                (Some(frac), seed) => Some((frac, seed.unwrap_or(0))),
+            let split = match (sec.get("split"), opt(sec, "split_seed", as_u64)?) {
+                (Some(e), seed) => {
+                    let frac = as_f64(sec, e)?;
+                    let frac = in_range(sec, e, frac, frac > 0.0 && frac < 1.0, "in (0, 1)")?;
+                    Some((frac, seed.unwrap_or(0)))
+                }
                 (None, Some(_)) => {
                     return Err(SpecError::at(
                         sec.get("split_seed").expect("present").line,
@@ -1008,8 +985,8 @@ fn service_spec(sec: &RawSection) -> Result<(ServiceKind, usize, DataSpec, usize
             .with_hint_from(other, DATA))
         }
     };
-    let k = opt(sec, "k", as_usize)?.unwrap_or(5);
-    Ok((kind, k, data, sec.line))
+    let k = opt(sec, "k", as_count)?.unwrap_or(5);
+    Ok((kind_name, model, k, data))
 }
 
 fn trace_spec(sec: &RawSection) -> Result<TraceSpec, SpecError> {
@@ -1033,27 +1010,13 @@ fn trace_spec(sec: &RawSection) -> Result<TraceSpec, SpecError> {
     let kind_name = as_str(sec, kind_entry)?;
     match kind_name.as_str() {
         "test_split" => Ok(TraceSpec::TestSplit),
-        "queries" | "keyed_queries" => {
-            let pool = blob_params(sec, "pool_")?;
-            let seed = as_u64(sec, req(sec, "seed")?)?;
-            let ticks = as_u64(sec, req(sec, "ticks")?)?;
-            let rate = as_f64(sec, req(sec, "rate")?)?;
-            Ok(if kind_name == "queries" {
-                TraceSpec::Queries {
-                    pool,
-                    seed,
-                    ticks,
-                    rate,
-                }
-            } else {
-                TraceSpec::KeyedQueries {
-                    pool,
-                    seed,
-                    ticks,
-                    rate,
-                }
-            })
-        }
+        "queries" | "keyed_queries" => Ok(TraceSpec::Queries {
+            pool: blob_params(sec, "pool_")?,
+            seed: as_u64(sec, req(sec, "seed")?)?,
+            ticks: as_u64(sec, req(sec, "ticks")?)?,
+            rate: as_nonneg(sec, req(sec, "rate")?)?,
+            keyed: kind_name == "keyed_queries",
+        }),
         other => Err(SpecError::at(
             kind_entry.line,
             &sec.name,
@@ -1063,7 +1026,7 @@ fn trace_spec(sec: &RawSection) -> Result<TraceSpec, SpecError> {
     }
 }
 
-fn fault_spec(sec: &RawSection) -> Result<FaultSpec, SpecError> {
+fn fault_plan(sec: &RawSection) -> Result<FaultPlan, SpecError> {
     check_keys(
         sec,
         &[
@@ -1077,23 +1040,23 @@ fn fault_spec(sec: &RawSection) -> Result<FaultSpec, SpecError> {
         ],
         &[],
     )?;
-    let mut kills = Vec::new();
-    for e in sec.get_all("kill") {
-        kills.push(rank_at(sec, e)?);
-    }
-    let mut revives = Vec::new();
-    for e in sec.get_all("revive") {
-        revives.push(rank_at(sec, e)?);
-    }
-    Ok(FaultSpec {
-        seed: as_u64(sec, req(sec, "seed")?)?,
+    let edge = EdgeFault {
         drop_p: opt(sec, "drop_p", as_f64)?.unwrap_or(0.0),
         dup_p: opt(sec, "dup_p", as_f64)?.unwrap_or(0.0),
         reorder_p: opt(sec, "reorder_p", as_f64)?.unwrap_or(0.0),
-        delay_ms: opt(sec, "delay_ms", as_u64)?.unwrap_or(0),
-        kills,
-        revives,
-    })
+        delay: Duration::from_millis(opt(sec, "delay_ms", as_u64)?.unwrap_or(0)),
+    };
+    edge.validate().map_err(|m| invalid(sec, m))?;
+    let mut plan = FaultPlan::new(as_u64(sec, req(sec, "seed")?)?).all_edges(edge);
+    for e in sec.get_all("kill") {
+        let (rank, after) = rank_at(sec, e)?;
+        plan = plan.kill(rank, after);
+    }
+    for e in sec.get_all("revive") {
+        let (rank, after) = rank_at(sec, e)?;
+        plan = plan.revive(rank, after);
+    }
+    Ok(plan)
 }
 
 // ---------------------------------------------------------------------------
@@ -1106,12 +1069,13 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
     let mut stages: Vec<StageDecl> = Vec::new();
     let mut sink = None;
     let mut service_core = None;
-    let mut serve = ServeSpec::default();
-    let mut shard = ShardSpec::default();
-    let mut backoff = None;
-    let mut scaling = Vec::new();
+    // The tier configs the rider sections shape, and the riders seen:
+    // `(head, the tier that reads it, section)`.
+    let mut serve = ServeConfig::default();
+    let mut shard = ShardConfig::default();
+    let mut riders: Vec<(&str, &str, &RawSection)> = Vec::new();
     let mut trace = None;
-    let mut fault = None;
+    let mut fault = FaultPlan::none();
     let mut explain = false;
 
     for sec in &doc.sections {
@@ -1122,6 +1086,13 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
         let dup = |what: &str| {
             SpecError::at(sec.line, &sec.name, format!("duplicate `[{what}]` section"))
         };
+        if let Some(&(head, reader)) = RIDERS.iter().find(|(r, _)| *r == head) {
+            // `[scaling]` sections add up; every other rider is declared once.
+            if head != "scaling" && riders.iter().any(|(h, ..)| *h == head) {
+                return Err(dup(head));
+            }
+            riders.push((head, reader, sec));
+        }
         match head {
             "scenario" => {
                 check_keys(sec, &["name"], &[])?;
@@ -1133,9 +1104,9 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
             "run" => {
                 check_keys(sec, &["partitions", "optimizer", "spill_budget"], &[])?;
                 run.partitions = opt(sec, "partitions", as_usize)?.unwrap_or(4).max(1);
-                run.naive = match opt(sec, "optimizer", as_str)?.as_deref() {
-                    None | Some("default") => false,
-                    Some("naive") => true,
+                run.optimizer = match opt(sec, "optimizer", as_str)?.as_deref() {
+                    None | Some("default") => OptimizerConfig::default(),
+                    Some("naive") => OptimizerConfig::naive(),
                     Some(other) => {
                         return Err(SpecError::at(
                             sec.get("optimizer").expect("present").line,
@@ -1145,7 +1116,7 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
                         .with_hint_from(other, &["default", "naive"]))
                     }
                 };
-                run.spill_budget = opt(sec, "spill_budget", as_u64)?;
+                run.optimizer.spill_budget = opt(sec, "spill_budget", as_u64)?;
             }
             "source" => {
                 let Some(sub) = sub else {
@@ -1191,7 +1162,7 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
                 if service_core.is_some() {
                     return Err(dup("service"));
                 }
-                service_core = Some(service_spec(sec)?);
+                service_core = Some((sec, service_spec(sec)?));
             }
             "serve" => {
                 check_keys(
@@ -1199,12 +1170,10 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
                     &["capacity", "max_batch_size", "max_wait", "workers"],
                     &[],
                 )?;
-                serve = ServeSpec {
-                    capacity: opt(sec, "capacity", as_usize)?,
-                    max_batch_size: opt(sec, "max_batch_size", as_usize)?,
-                    max_wait: opt(sec, "max_wait", as_u64)?,
-                    workers: opt(sec, "workers", as_usize)?,
-                };
+                set(sec, "capacity", as_usize, &mut serve.capacity)?;
+                set(sec, "max_batch_size", as_usize, &mut serve.max_batch_size)?;
+                set(sec, "max_wait", as_u64, &mut serve.max_wait)?;
+                set(sec, "workers", as_usize, &mut serve.workers)?;
             }
             "shard" => {
                 check_keys(
@@ -1221,37 +1190,30 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
                     ],
                     &[],
                 )?;
-                shard = ShardSpec {
-                    num_shards: opt(sec, "num_shards", as_usize)?,
-                    vnodes: opt(sec, "vnodes", as_usize)?,
-                    seed: opt(sec, "seed", as_u64)?,
-                    initial_ranks: opt(sec, "initial_ranks", as_usize)?,
-                    capacity: opt(sec, "capacity", as_usize)?,
-                    max_batch_size: opt(sec, "max_batch_size", as_usize)?,
-                    max_wait: opt(sec, "max_wait", as_u64)?,
-                    full_rebuild: opt(sec, "full_rebuild", as_bool)?,
-                };
+                set(sec, "num_shards", as_usize, &mut shard.num_shards)?;
+                set(sec, "vnodes", as_usize, &mut shard.vnodes)?;
+                set(sec, "seed", as_u64, &mut shard.seed)?;
+                set(sec, "initial_ranks", as_usize, &mut shard.initial_ranks)?;
+                set(sec, "capacity", as_usize, &mut shard.capacity)?;
+                set(sec, "max_batch_size", as_usize, &mut shard.max_batch_size)?;
+                set(sec, "max_wait", as_u64, &mut shard.max_wait)?;
+                set(sec, "full_rebuild", as_bool, &mut shard.full_rebuild)?;
             }
             "backoff" => {
                 check_keys(sec, &["base", "jitter", "seed"], &[])?;
-                backoff = Some((
+                shard.backoff = TickBackoff::linear(
                     as_u64(sec, req(sec, "base")?)?,
                     opt(sec, "jitter", as_u64)?.unwrap_or(0),
                     opt(sec, "seed", as_u64)?.unwrap_or(0),
-                ));
+                );
             }
             "scaling" => {
                 check_keys(sec, &["event"], &[])?;
                 for e in sec.get_all("event") {
-                    scaling.push(scale_event(sec, e)?);
+                    shard.scaling.push(scale_event(sec, e)?);
                 }
             }
-            "fault" => {
-                if fault.is_some() {
-                    return Err(dup("fault"));
-                }
-                fault = Some(fault_spec(sec)?);
-            }
+            "fault" => fault = fault_plan(sec)?,
             "trace" => {
                 if trace.is_some() {
                     return Err(dup("trace"));
@@ -1308,24 +1270,12 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
             }
         }
         if let StageOp::Locate { boundaries } = &st.op {
-            let is_city = sources.iter().any(|s| {
-                s.name == *boundaries
-                    && matches!(
-                        s.kind,
-                        SourceKind::CityArrests { .. } | SourceKind::CityPopulation { .. }
-                    )
-            });
-            if !is_city {
-                let cities: Vec<&str> = sources
-                    .iter()
-                    .filter(|s| {
-                        matches!(
-                            s.kind,
-                            SourceKind::CityArrests { .. } | SourceKind::CityPopulation { .. }
-                        )
-                    })
-                    .map(|s| s.name.as_str())
-                    .collect();
+            let cities: Vec<&str> = sources
+                .iter()
+                .filter(|s| matches!(s.kind, SourceKind::City { .. }))
+                .map(|s| s.name.as_str())
+                .collect();
+            if !cities.contains(&boundaries.as_str()) {
                 return Err(SpecError::at(
                     st.line,
                     &format!("stage.{}", st.name),
@@ -1349,7 +1299,8 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
     }
 
     let service = match service_core {
-        Some((kind, k, data, line)) => {
+        Some((svc_sec, (kind_name, model, k, data))) => {
+            let line = svc_sec.line;
             let trace = trace.ok_or_else(|| {
                 SpecError::at(line, "service", "a `[service]` needs a `[trace]` section")
             })?;
@@ -1362,33 +1313,65 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
                     "trace kind `test_split` needs `data = iris` with a `split` in [service]",
                 ));
             }
-            match (&kind, &trace) {
-                (ServiceKind::KnnSharded, TraceSpec::KeyedQueries { .. }) => {}
-                (ServiceKind::KnnSharded, _) => {
-                    return Err(SpecError::at(
-                        line,
-                        "trace",
-                        "service `knn_sharded` routes by key: use trace kind `keyed_queries`",
-                    ))
-                }
-                (_, TraceSpec::KeyedQueries { .. }) => {
-                    return Err(SpecError::at(
-                        line,
-                        "trace",
-                        "trace kind `keyed_queries` is only for service `knn_sharded`",
-                    ))
-                }
-                _ => {}
+            let keyed = matches!(trace, TraceSpec::Queries { keyed: true, .. });
+            if model.is_none() && !keyed {
+                return Err(SpecError::at(
+                    line,
+                    "trace",
+                    "service `knn_sharded` routes by key: use trace kind `keyed_queries`",
+                ));
             }
+            if model.is_some() && keyed {
+                return Err(SpecError::at(
+                    line,
+                    "trace",
+                    "trace kind `keyed_queries` is only for service `knn_sharded`",
+                ));
+            }
+            let tier = if model.is_some() { POOL } else { SHARDED };
+            for &(head, reader, r) in &riders {
+                if reader != tier {
+                    return Err(SpecError::at(
+                        r.line,
+                        &r.name,
+                        format!(
+                            "`[{head}]` shapes {reader}, but service `{kind_name}` runs on {tier}"
+                        ),
+                    ));
+                }
+            }
+            // A config error belongs to the rider that set the value; an
+            // absent rider leaves defaults, which always validate.
+            let rider = |head: &str| {
+                riders
+                    .iter()
+                    .find(|(h, ..)| *h == head)
+                    .map_or(svc_sec, |r| r.2)
+            };
+            let kind = match model {
+                Some(model) => {
+                    serve.validate().map_err(|m| invalid(rider("serve"), m))?;
+                    ServiceKind::Pool { model, serve }
+                }
+                None => {
+                    // A config that validates without its script is
+                    // faulted by the script.
+                    let unscripted = ShardConfig {
+                        scaling: Vec::new(),
+                        ..shard.clone()
+                    };
+                    unscripted
+                        .validate()
+                        .map_err(|m| invalid(rider("shard"), m))?;
+                    shard.validate().map_err(|m| invalid(rider("scaling"), m))?;
+                    ServiceKind::KnnSharded(shard)
+                }
+            };
             Some(ServiceSpec {
                 kind,
                 line,
                 k,
                 data,
-                serve,
-                shard,
-                backoff,
-                scaling,
                 trace,
             })
         }
@@ -1398,6 +1381,13 @@ fn from_doc(doc: &RawDoc) -> Result<ScenarioSpec, SpecError> {
                     0,
                     "trace",
                     "a `[trace]` needs a `[service]` section",
+                ));
+            }
+            if let Some(&(head, reader, r)) = riders.iter().find(|(h, ..)| *h != "fault") {
+                return Err(SpecError::at(
+                    r.line,
+                    &r.name,
+                    format!("`[{head}]` shapes {reader} and needs a `[service]` section"),
                 ));
             }
             None
@@ -1516,12 +1506,14 @@ from = current
             "[scenario]\nname = x\n[service]\nkind = knn_sharded\ndata = blobs\nn = 10\ndims = 2\nclasses = 2\nspread = 1.0\nseed = 1\n[scaling]\nevent = \"add 4 @ 6\"\nevent = \"drain 1 @ 18\"\n[fault]\nseed = 42\ndup_p = 0.15\nkill = \"2 @ 2\"\nrevive = \"2 @ 3\"\n[trace]\nkind = keyed_queries\npool_n = 5\npool_dims = 2\npool_classes = 2\npool_spread = 1.0\npool_seed = 2\nseed = 3\nticks = 8\nrate = 1.0\n",
         )
         .unwrap();
-        let svc = spec.service.unwrap();
-        assert_eq!(svc.scaling.len(), 2);
-        assert_eq!(svc.scaling[0], (6, ScaleEvent::Add(4)));
-        assert_eq!(svc.scaling[1], (18, ScaleEvent::Drain(1)));
-        let fault = spec.fault.unwrap();
-        assert_eq!(fault.kills, vec![(2, 2)]);
-        assert_eq!(fault.revives, vec![(2, 3)]);
+        let Some(ServiceKind::KnnSharded(shard)) = spec.service.map(|s| s.kind) else {
+            panic!("knn_sharded carries a ShardConfig");
+        };
+        assert_eq!(
+            shard.scaling,
+            vec![(6, ScaleEvent::Add(4)), (18, ScaleEvent::Drain(1))]
+        );
+        assert_eq!(spec.fault.scheduled_kills(), vec![(2, 2)]);
+        assert_eq!(spec.fault.revival_of(2), Some(3));
     }
 }
