@@ -22,14 +22,16 @@
 //!   may come in *under* the baseline (a streaming improvement) but never
 //!   above it (a regression back toward rebuild-on-access).
 //! * **Wall time** is machine-dependent, so the gate compares the
-//!   *speedup* (naive ÷ optimized median) per scenario, not absolute
-//!   nanoseconds: the current speedup may not fall below the baseline
-//!   speedup by more than `BENCH_GATE_TIME_FACTOR` (default 2.0).
+//!   *speedup* of each timed pair per scenario, not absolute nanoseconds:
+//!   E18's naive ÷ optimized, E20's resident ÷ spilled and E22's
+//!   `rebuilt_X` ÷ `streamed_X` medians. The current speedup may not fall
+//!   below the baseline speedup by more than `BENCH_GATE_TIME_FACTOR`
+//!   (default 2.0).
 //!
 //! The snapshot format is deliberately flat (one `"key": value` line per
 //! metric) so this binary needs no JSON dependency.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::exit;
 
 fn parse(path: &str) -> BTreeMap<String, u64> {
@@ -119,27 +121,25 @@ fn main() {
         }
     }
 
-    let speedup = |map: &BTreeMap<String, u64>, scenario: &str| -> Option<f64> {
-        let naive = *map.get(&format!("{scenario}.naive.median_ns"))? as f64;
-        let optimized = *map.get(&format!("{scenario}.optimized.median_ns"))? as f64;
-        (optimized > 0.0).then(|| naive / optimized)
-    };
-    let scenarios: Vec<String> = baseline
-        .keys()
-        .filter_map(|k| k.strip_suffix(".naive.median_ns"))
-        .map(str::to_string)
-        .collect();
-    for scenario in &scenarios {
-        let (Some(base), Some(cur)) = (speedup(&baseline, scenario), speedup(&current, scenario))
-        else {
-            eprintln!("[!!] {scenario}: median_ns metrics incomplete");
+    let speedup =
+        |map: &BTreeMap<String, u64>, (reference, gated): &(String, String)| -> Option<f64> {
+            let reference = *map.get(&format!("{reference}.median_ns"))? as f64;
+            let gated = *map.get(&format!("{gated}.median_ns"))? as f64;
+            (gated > 0.0).then(|| reference / gated)
+        };
+    let pairs = timed_pairs(&baseline);
+    for pair in &pairs {
+        let (Some(base), Some(cur)) = (speedup(&baseline, pair), speedup(&current, pair)) else {
+            eprintln!("[!!] {} ÷ {}: median_ns metrics incomplete", pair.0, pair.1);
             failures += 1;
             continue;
         };
         let ok = cur * factor >= base;
         println!(
-            "[{}] {scenario}: speedup {base:.2}x baseline, {cur:.2}x current (allowed drift {factor}x)",
+            "[{}] {} ÷ {}: speedup {base:.2}x baseline, {cur:.2}x current (allowed drift {factor}x)",
             if ok { "ok" } else { "!!" },
+            pair.0,
+            pair.1,
         );
         if !ok {
             failures += 1;
@@ -151,7 +151,32 @@ fn main() {
         exit(1);
     }
     println!(
-        "\nbench_gate: counters match, speedups within {factor}x across {} scenario(s)",
-        scenarios.len()
+        "\nbench_gate: counters match, speedups within {factor}x across {} timed pair(s)",
+        pairs.len()
     );
+}
+
+/// The `(reference, gated)` variants the gate times against each other,
+/// one per reference variant in the baseline: `S.naive` ÷ `S.optimized`,
+/// `S.resident` ÷ `S.spilled` and `S.rebuilt_X` ÷ `S.streamed_X`. A
+/// scenario with `rebuilt_X` runs is E22's, whose `S.resident` run is a
+/// reference beside the pairs rather than one side of a pair.
+fn timed_pairs(baseline: &BTreeMap<String, u64>) -> Vec<(String, String)> {
+    let streaming: BTreeSet<&str> = baseline
+        .keys()
+        .filter_map(|key| Some(key.split_once(".rebuilt_")?.0))
+        .collect();
+    baseline
+        .keys()
+        .filter_map(|key| {
+            let reference = key.strip_suffix(".median_ns")?;
+            let (scenario, variant) = reference.rsplit_once('.')?;
+            let gated = match variant {
+                "naive" => "optimized".to_string(),
+                "resident" if !streaming.contains(scenario) => "spilled".to_string(),
+                _ => format!("streamed_{}", variant.strip_prefix("rebuilt_")?),
+            };
+            Some((reference.to_string(), format!("{scenario}.{gated}")))
+        })
+        .collect()
 }

@@ -82,4 +82,6 @@ pub use optimize::{OptimizerConfig, PlanReport};
 pub use peachy_cluster::{ByteSized, RetryPolicy};
 pub use plan::{Partitioning, PlanKind, PlanNode};
 pub use shuffle::ShuffleStats;
-pub use store::{PartitionStore, Residency, SpillReader, SpillRow, SpillSink, StoreConfig};
+pub use store::{
+    PartitionStore, Residency, SpillFile, SpillReader, SpillRow, SpillSink, StoreConfig,
+};

@@ -31,7 +31,7 @@ use peachy_par::prelude::*;
 
 use crate::dataset::{take_rows, up, Op};
 use crate::plan::{Lineage, PlanKind, PlanNode, ELIDED_MARK, SHUFFLE_MARK};
-use crate::store::{PartitionStore, SpillRow};
+use crate::store::{framed_len, PartitionStore, SpillFile, SpillRow, SpillSink};
 
 /// Counters shared by all shuffles in a lineage (attach one per pipeline
 /// run to compare variants). This is the workspace-wide
@@ -153,25 +153,41 @@ where
         // resident bucket gets — without ever concatenating in RAM.
         for (p, &spill_p) in spill.iter().enumerate() {
             if spill_p {
-                let mut sink = self.buckets.spill_sink(p, counts[p]);
+                let file = self.buckets.spill_file(p, counts[p]);
+                let mut sink = file.segment(0);
                 for (input, _) in &per_input {
                     input[p].iter().for_each(|row| sink.push(row));
                 }
-                sink.finish();
+                sink.close();
+                file.finish();
             }
         }
-        // Resident buckets merge per-input shares into exact-capacity
-        // vectors, preserving input-partition order so downstream
-        // grouping is deterministic.
-        let mut merged: Vec<Vec<(K, V)>> = counts
+        self.fill_resident_buckets(
+            per_input.into_iter().map(|(input, _)| input),
+            &counts,
+            &spill,
+        );
+        (counts, sizes)
+    }
+
+    /// Fill every bucket the plan keeps resident from the inputs' shares,
+    /// merged into exact-capacity vectors in input-partition order, so
+    /// downstream grouping is deterministic.
+    fn fill_resident_buckets(
+        &self,
+        inputs: impl IntoIterator<Item = Bucketed<K, V>>,
+        counts: &[usize],
+        spill: &[bool],
+    ) {
+        let mut merged: Bucketed<K, V> = counts
             .iter()
-            .zip(&spill)
+            .zip(spill)
             .map(|(&c, &s)| Vec::with_capacity(if s { 0 } else { c }))
             .collect();
-        for (input, _) in per_input {
-            for (p, bucket) in input.into_iter().enumerate() {
-                if !spill[p] {
-                    merged[p].extend(bucket);
+        for input in inputs {
+            for ((bucket, share), &s) in merged.iter_mut().zip(input).zip(spill) {
+                if !s {
+                    bucket.extend(share);
                 }
             }
         }
@@ -180,20 +196,23 @@ where
                 self.buckets.fill_resident(p, Arc::new(rows));
             }
         }
-        (counts, sizes)
     }
 
     /// The streaming map side (budgeted stores with streaming on): no
     /// input partition is ever materialized just to be bucketed.
     ///
-    /// Pass 1 pushes every input through the narrow chain counting rows
-    /// and bytes per output bucket (one parallel loop, like the mem-mode
-    /// pass — the counters are per-input, merged after). Pass 2 replays
-    /// the inputs *sequentially
-    /// in input-partition order* — the same merge order the materialized
-    /// path produces — routing each row either into an exact-capacity
-    /// resident bucket or straight into a [`SpillSink`], so a spilled
-    /// bucket is encoded row-by-row as it is produced.
+    /// Both passes push every input through the narrow chain, in one
+    /// parallel loop each. Pass 1 meters, per input and bucket, the rows,
+    /// their bytes (for the spill plan) and their framed spill bytes. Those
+    /// fix the layout of each spilled bucket's file: the header, then input
+    /// 0's rows, input 1's rows, and so on — the input-partition merge
+    /// order the materialized path produces. Pass 2 then replays the inputs
+    /// *in parallel*: each writes its rows of every spilled bucket as that
+    /// file's segment `i`, with positioned writes at its own offset, and
+    /// collects its rows of every resident bucket in a share of exact
+    /// capacity. The shares concatenate in input order afterwards, so every
+    /// bucket, on disk or in RAM, holds the rows a sequential pass would
+    /// have written, byte for byte.
     ///
     /// The cost is running the upstream chain twice, which is exactly the
     /// engine's lineage-recompute contract (row closures are pure;
@@ -201,55 +220,68 @@ where
     /// stores replay pass 2 instead of recomputing).
     fn route_streaming(&self) -> (Vec<usize>, Vec<u64>) {
         let n_in = self.parent.partitions();
-        let per_input: Vec<(Vec<usize>, Vec<u64>)> = (0..n_in)
+        // Per input and bucket: (rows, bytes, framed spill bytes).
+        let metered: Vec<Vec<(usize, u64, u64)>> = (0..n_in)
             .into_par_iter()
             .map(|i| {
-                let mut counts = vec![0usize; self.partitions];
-                let mut bytes = vec![0u64; self.partitions];
+                let mut meter = vec![(0usize, 0u64, 0u64); self.partitions];
+                let mut scratch = Vec::new();
                 self.parent.push_partition(i, &mut |row: (K, V)| {
-                    let p = partition_of(&row.0, self.partitions);
-                    counts[p] += 1;
-                    bytes[p] += row.approx_bytes() as u64;
+                    let m = &mut meter[partition_of(&row.0, self.partitions)];
+                    m.0 += 1;
+                    m.1 += row.approx_bytes() as u64;
+                    m.2 += framed_len(&row, &mut scratch);
                 });
-                (counts, bytes)
+                meter
             })
             .collect();
         let mut sizes = vec![0u64; self.partitions];
         let mut counts = vec![0usize; self.partitions];
-        for (c, b) in &per_input {
-            for p in 0..self.partitions {
-                counts[p] += c[p];
-                sizes[p] += b[p];
+        for meter in &metered {
+            for (p, &(rows, bytes, _)) in meter.iter().enumerate() {
+                counts[p] += rows;
+                sizes[p] += bytes;
             }
         }
         let spill = self.buckets.plan_presized(&sizes);
-        let mut sinks: Vec<Option<crate::store::SpillSink<'_, (K, V)>>> = spill
+        let files: Vec<Option<SpillFile<'_, (K, V)>>> = spill
             .iter()
             .enumerate()
-            .map(|(p, &s)| s.then(|| self.buckets.spill_sink(p, counts[p])))
+            .map(|(p, &s)| {
+                s.then(|| {
+                    let shares: Vec<(usize, u64)> =
+                        metered.iter().map(|m| (m[p].0, m[p].2)).collect();
+                    self.buckets.spill_segments(p, &shares)
+                })
+            })
             .collect();
-        let mut resident: Vec<Vec<(K, V)>> = counts
-            .iter()
-            .zip(&spill)
-            .map(|(&c, &s)| Vec::with_capacity(if s { 0 } else { c }))
+        let shares: Vec<Bucketed<K, V>> = (0..n_in)
+            .into_par_iter()
+            .map(|i| {
+                let mut sinks: Vec<Option<SpillSink<'_, (K, V)>>> = files
+                    .iter()
+                    .map(|file| file.as_ref().map(|f| f.segment(i)))
+                    .collect();
+                let mut resident: Bucketed<K, V> = metered[i]
+                    .iter()
+                    .zip(&spill)
+                    .map(|(&(rows, ..), &s)| Vec::with_capacity(if s { 0 } else { rows }))
+                    .collect();
+                self.parent.push_partition(i, &mut |row: (K, V)| {
+                    let p = partition_of(&row.0, self.partitions);
+                    match &mut sinks[p] {
+                        Some(sink) => sink.push(&row),
+                        None => resident[p].push(row),
+                    }
+                });
+                sinks.into_iter().flatten().for_each(SpillSink::close);
+                resident
+            })
             .collect();
-        for i in 0..n_in {
-            self.parent.push_partition(i, &mut |row: (K, V)| {
-                let p = partition_of(&row.0, self.partitions);
-                match &mut sinks[p] {
-                    Some(sink) => sink.push(&row),
-                    None => resident[p].push(row),
-                }
-            });
+        for file in files.into_iter().flatten() {
+            file.finish();
         }
-        for sink in sinks.into_iter().flatten() {
-            sink.finish();
-        }
-        for (p, rows) in resident.into_iter().enumerate() {
-            if !spill[p] {
-                self.buckets.fill_resident(p, Arc::new(rows));
-            }
-        }
+        self.fill_resident_buckets(shares, &counts, &spill);
         (counts, sizes)
     }
 }

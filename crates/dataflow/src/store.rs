@@ -37,16 +37,34 @@
 //! Reading a spilled partition through [`PartitionStore::load`] rebuilds
 //! it as one `Vec` — the budget bounds storage, not execution.
 //! [`PartitionStore::replay`] fixes that: it pushes a slot's rows into a
-//! consumer's sink, decoding a spilled slot one row at a time off a
-//! buffered file reader (each row is length-prefixed in the spill format
-//! precisely so the reads can be chunked), and
-//! [`PartitionStore::spill_sink`] is the write-side dual — rows are
-//! encoded straight to disk as a producer pushes them, never concatenated
-//! in RAM. With `StoreConfig::stream` set (the default), fused narrow
-//! chains and the shuffle's route/merge passes read through `replay`, so
-//! peak resident memory stays bounded by the budget even *during*
-//! consumption. With it cleared `replay` rebuilds the partition first —
-//! the measurable strawman E22 ablates against.
+//! consumer's sink, decoding a spilled slot one row at a time. With
+//! `StoreConfig::stream` set (the default), fused narrow chains and the
+//! shuffle's route/merge passes read through `replay`, so peak resident
+//! memory stays bounded by the budget even *during* consumption. With it
+//! cleared `replay` rebuilds the partition first — the measurable strawman
+//! E22 ablates against.
+//!
+//! # The block codec
+//!
+//! A spill file is `[u64 rows]` followed by `[u32 len][row]` per row.
+//! `replay` reads it in 64 KiB blocks and decodes each row straight out of
+//! the block; a row the block's end cuts is carried to the front of the
+//! next block, and the block grows for a row longer than itself.
+//!
+//! The write side is a [`SpillFile`]: the header, then one or more
+//! segments of rows in segment order, each written by its own
+//! [`SpillSink`]. A sink frames a row in place — it reserves the length
+//! prefix in its block, encodes the row right after it and patches the
+//! prefix — and writes the block when the next row might not fit. A
+//! file's segments start at offsets fixed by the framed bytes metered for
+//! the segments before them ([`PartitionStore::spill_segments`]), so they
+//! fill in parallel, with positioned writes through the file's one handle,
+//! and still lay down the bytes one sink pushing every row in order would
+//! ([`PartitionStore::spill_file`], the one-segment case). Each segment
+//! checks on close that it wrote exactly its metered rows and bytes. The
+//! shuffle's streaming route writes each input's rows as one segment of
+//! every spilled bucket, and pre-sized fills place their partitions on the
+//! `peachy-par` pool, so the ones they spill encode in parallel.
 //!
 //! Spill and unspill traffic is metered through the `CommStats` block
 //! ([`CommStats::add_spill`] / [`CommStats::add_unspill`]), and every
@@ -61,12 +79,14 @@
 
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{ErrorKind, Read};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use peachy_cluster::{ByteSized, CommStats};
+use peachy_par::prelude::*;
 
 // ---------- the deterministic row encoding ----------
 
@@ -533,25 +553,39 @@ impl<T: SpillRow> PartitionStore<T> {
     /// A store pre-filled from owned partitions (sources, repartition
     /// outputs): sizes are known before any slot fills, so placement uses
     /// the greedy pre-sized plan.
-    pub fn prefilled(parts: Vec<Vec<T>>, cfg: StoreConfig) -> Self {
+    pub fn prefilled(parts: Vec<Vec<T>>, cfg: StoreConfig) -> Self
+    where
+        T: Send + Sync,
+    {
         let store = Self::new(parts.len(), cfg);
         store.fill_batch(parts);
         store
     }
 
     /// Fill every slot from owned partitions (each slot must be empty).
-    fn fill_batch(&self, parts: Vec<Vec<T>>) {
+    /// The partitions are placed on the pool, so the ones the plan spills
+    /// encode in parallel; the slots fill in index order.
+    fn fill_batch(&self, parts: Vec<Vec<T>>)
+    where
+        T: Send + Sync,
+    {
         assert_eq!(parts.len(), self.cells.len(), "one partition per slot");
         let sizes: Vec<u64> = parts.iter().map(|p| p.approx_bytes() as u64).collect();
         // Every partition existed in RAM at fill time; charge the largest.
         self.charge_peak(sizes.iter().copied().max().unwrap_or(0));
         let spill = self.plan_presized(&sizes);
-        for (idx, (rows, spill)) in parts.into_iter().zip(spill).enumerate() {
-            let slot = if spill {
-                self.spill(idx, rows.len(), rows.iter())
-            } else {
-                Slot::Resident(Arc::new(rows))
-            };
+        let slots: Vec<Slot<T>> = parts
+            .into_par_iter()
+            .enumerate()
+            .map(|(idx, rows)| {
+                if spill[idx] {
+                    self.spill(idx, rows.len(), rows.iter())
+                } else {
+                    Slot::Resident(Arc::new(rows))
+                }
+            })
+            .collect();
+        for (idx, slot) in slots.into_iter().enumerate() {
             if self.cells[idx].set(slot).is_err() {
                 panic!("fill_batch: slot {idx} already filled");
             }
@@ -561,7 +595,10 @@ impl<T: SpillRow> PartitionStore<T> {
     /// Run `fill` exactly once (across threads) to populate every slot.
     /// The holder's one-shot materialization guard (what used to be an
     /// outer `OnceLock<Vec<…>>`).
-    pub fn fill_once(&self, fill: impl FnOnce() -> Vec<Vec<T>>) {
+    pub fn fill_once(&self, fill: impl FnOnce() -> Vec<Vec<T>>)
+    where
+        T: Send + Sync,
+    {
         self.filled.get_or_init(|| self.fill_batch(fill()));
     }
 
@@ -617,34 +654,58 @@ impl<T: SpillRow> PartitionStore<T> {
     where
         T: 'a,
     {
-        let mut sink = self.spill_sink(idx, row_count);
-        for row in rows {
-            sink.push(row);
-        }
-        sink.into_slot()
+        let file = self.spill_file(idx, row_count);
+        let mut sink = file.segment(0);
+        rows.for_each(|row| sink.push(row));
+        sink.close();
+        file.into_slot()
     }
 
-    /// Open an incremental spill writer for slot `idx` (`row_count` rows
-    /// must be pushed before [`SpillSink::finish`]). The write-side dual
-    /// of [`PartitionStore::replay`]: the shuffle routes rows into sinks
-    /// as they are produced, so no spilled bucket is ever concatenated in
+    /// Open slot `idx`'s spill file for one writer of `row_count` rows:
+    /// [`SpillFile::segment`]`(0)` encodes them, [`SpillFile::finish`]
+    /// fills the slot. The write-side dual of [`PartitionStore::replay`]:
+    /// rows go to disk as a producer pushes them, never concatenated in
     /// RAM.
-    pub fn spill_sink(&self, idx: usize, row_count: usize) -> SpillSink<'_, T> {
+    pub fn spill_file(&self, idx: usize, row_count: usize) -> SpillFile<'_, T> {
+        self.open_spill(idx, row_count, vec![(HEADER_BYTES, row_count, None)])
+    }
+
+    /// Open slot `idx`'s spill file for one writer per share: share `i`
+    /// is the row count and framed bytes ([`framed_len`]) that segment `i`
+    /// will write, so every segment's offset is known before any row is,
+    /// and the segments may fill in parallel.
+    pub fn spill_segments(&self, idx: usize, shares: &[(usize, u64)]) -> SpillFile<'_, T> {
+        let mut offset = HEADER_BYTES;
+        let segments = shares
+            .iter()
+            .map(|&(rows, bytes)| {
+                let segment = (offset, rows, Some(bytes));
+                offset += bytes;
+                segment
+            })
+            .collect();
+        let row_count = shares.iter().map(|&(rows, _)| rows).sum();
+        self.open_spill(idx, row_count, segments)
+    }
+
+    /// Create slot `idx`'s spill file and write its header.
+    fn open_spill(&self, idx: usize, rows: usize, segments: Vec<Segment>) -> SpillFile<'_, T> {
         let path = self.dir().join(format!("part-{idx}.bin"));
         let file = File::create(&path)
+            .and_then(|file| {
+                file.write_all_at(&(rows as u64).to_le_bytes(), 0)
+                    .map(|()| file)
+            })
             .unwrap_or_else(|e| panic!("spill store: create {}: {e}", path.display()));
-        let mut buf = Vec::with_capacity(256);
-        (row_count as u64).spill_encode(&mut buf);
-        SpillSink {
+        SpillFile {
             store: self,
             idx,
             path,
-            writer: BufWriter::new(file),
-            buf,
-            scratch: Vec::new(),
-            encoded_bytes: 0,
-            expected: row_count,
-            pushed: 0,
+            file,
+            segments,
+            rows,
+            sealed_rows: AtomicUsize::new(0),
+            sealed_bytes: AtomicU64::new(0),
         }
     }
 
@@ -653,7 +714,7 @@ impl<T: SpillRow> PartitionStore<T> {
     ///
     /// Resident slots clone the shared rows out one at a time (the same
     /// copies a consumer of [`PartitionStore::load`] would make). Spilled
-    /// slots decode row by row off a buffered reader when the store
+    /// slots decode row by row out of a reused 64 KiB block when the store
     /// streams, so no intermediate `Vec` of the partition ever exists;
     /// with `StoreConfig::stream` cleared they are rebuilt first (the
     /// strawman). Unspill traffic is charged in full either way, so byte
@@ -683,23 +744,12 @@ impl<T: SpillRow> PartitionStore<T> {
                 if let Some(stats) = &self.cfg.stats {
                     stats.add_unspill(*encoded_bytes);
                 }
-                let file = File::open(path)
-                    .unwrap_or_else(|e| panic!("spill store: open {}: {e}", path.display()));
-                let mut reader = BufReader::with_capacity(64 * 1024, file);
-                let mut header = [0u8; 8];
-                reader.read_exact(&mut header).expect("spill header read");
-                debug_assert_eq!(
-                    u64::from_le_bytes(header) as usize,
-                    *row_count,
-                    "spill header row count"
-                );
-                let mut scratch = Vec::new();
+                let mut reader = BlockReader::open(path);
+                let header = u64::from_le_bytes(reader.take_array());
+                debug_assert_eq!(header as usize, *row_count, "spill header row count");
                 for _ in 0..*row_count {
-                    let mut prefix = [0u8; 4];
-                    reader.read_exact(&mut prefix).expect("spill row prefix");
-                    scratch.resize(u32::from_le_bytes(prefix) as usize, 0);
-                    reader.read_exact(&mut scratch).expect("spill row read");
-                    let mut r = SpillReader::new(&scratch);
+                    let len = u32::from_le_bytes(reader.take_array()) as usize;
+                    let mut r = SpillReader::new(reader.take(len));
                     let row = T::spill_decode(&mut r);
                     debug_assert_eq!(r.remaining(), 0, "spill row fully consumed");
                     // Only this one decoded row is resident.
@@ -743,74 +793,230 @@ impl<T: SpillRow> PartitionStore<T> {
     }
 }
 
-// ---------- the incremental spill writer ----------
+// ---------- the block codec ----------
 
-/// Write-side streaming: rows pushed one at a time are length-prefixed,
-/// encoded, and flushed to the slot's spill file in 64 KiB chunks. Created
-/// by [`PartitionStore::spill_sink`]; [`SpillSink::finish`] seals the file
-/// and fills the slot.
-pub struct SpillSink<'s, T: SpillRow> {
+/// Bytes in one spill I/O block: [`PartitionStore::replay`] reads this
+/// much at a time, and a sink writes this much (a segment metered smaller
+/// than a block writes itself in one).
+const SPILL_BLOCK: usize = 64 * 1024;
+
+/// A spill file opens with its row count as a `u64`.
+const HEADER_BYTES: u64 = 8;
+
+/// Each row in a spill file follows its encoded length as a `u32`.
+const PREFIX_BYTES: usize = 4;
+
+/// Bytes `row` takes in a spill file: its length prefix and its encoding
+/// (`scratch` is a reusable encode buffer). A writer meters these to lay
+/// out [`PartitionStore::spill_segments`].
+pub fn framed_len<T: SpillRow>(row: &T, scratch: &mut Vec<u8>) -> u64 {
+    scratch.clear();
+    row.spill_encode(scratch);
+    (PREFIX_BYTES + scratch.len()) as u64
+}
+
+/// Reads a spill file a block at a time for [`PartitionStore::replay`].
+struct BlockReader {
+    file: File,
+    block: Vec<u8>,
+    /// The block's unread bytes are `block[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl BlockReader {
+    fn open(path: &Path) -> Self {
+        let file = File::open(path)
+            .unwrap_or_else(|e| panic!("spill store: open {}: {e}", path.display()));
+        Self {
+            file,
+            block: vec![0; SPILL_BLOCK],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The file's next `n` bytes.
+    fn take(&mut self, n: usize) -> &[u8] {
+        if self.end - self.start < n {
+            self.refill(n);
+        }
+        let run = &self.block[self.start..self.start + n];
+        self.start += n;
+        run
+    }
+
+    /// The file's next `N` bytes, as an array.
+    fn take_array<const N: usize>(&mut self) -> [u8; N] {
+        self.take(N).try_into().expect("took exactly N bytes")
+    }
+
+    /// Carry the unread bytes (a row the block's end cut) to the front,
+    /// grow the block when one row is longer than it, and read until `n`
+    /// bytes are unread.
+    #[cold]
+    fn refill(&mut self, n: usize) {
+        self.block.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.block.len() < n {
+            self.block.resize(n, 0);
+        }
+        while self.end < n {
+            match self.file.read(&mut self.block[self.end..]) {
+                Ok(0) => panic!("spill stream truncated"),
+                Ok(got) => self.end += got,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => panic!("spill store: read: {e}"),
+            }
+        }
+    }
+}
+
+// ---------- the spill writers ----------
+
+/// One segment of a [`SpillFile`]: its byte offset, its row count, and
+/// its framed bytes where they were metered (the sole segment of
+/// [`PartitionStore::spill_file`] is not).
+type Segment = (u64, usize, Option<u64>);
+
+/// A spill file being written. Its header is on disk; its rows arrive
+/// through one [`SpillSink`] per segment and land header first, then
+/// segment 0's rows, segment 1's rows, and so on. Opened by
+/// [`PartitionStore::spill_file`] or [`PartitionStore::spill_segments`];
+/// [`SpillFile::finish`] fills the slot once every segment has closed.
+pub struct SpillFile<'s, T> {
     store: &'s PartitionStore<T>,
     idx: usize,
     path: PathBuf,
-    writer: BufWriter<File>,
-    buf: Vec<u8>,
-    scratch: Vec<u8>,
-    encoded_bytes: u64,
-    expected: usize,
-    pushed: usize,
+    /// The one handle every segment writes through, each at its own
+    /// offsets.
+    file: File,
+    segments: Vec<Segment>,
+    /// Rows the header promises.
+    rows: usize,
+    /// Rows and framed bytes of the closed segments.
+    sealed_rows: AtomicUsize,
+    sealed_bytes: AtomicU64,
 }
 
-impl<T: SpillRow> SpillSink<'_, T> {
-    /// Encode one row to the file. Only this row is resident, and only
-    /// this row is charged against the peak meter.
-    pub fn push(&mut self, row: &T) {
-        self.scratch.clear();
-        row.spill_encode(&mut self.scratch);
-        let len = u32::try_from(self.scratch.len()).expect("spill row under 4 GiB");
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(&self.scratch);
-        self.store.charge_peak(row.approx_bytes() as u64);
-        self.pushed += 1;
-        if self.buf.len() >= 64 * 1024 {
-            self.writer.write_all(&self.buf).expect("spill write");
-            self.encoded_bytes += self.buf.len() as u64;
-            self.buf.clear();
+impl<T: SpillRow> SpillFile<'_, T> {
+    /// The writer of segment `seg`.
+    pub fn segment(&self, seg: usize) -> SpillSink<'_, T> {
+        let block = self.segments[seg]
+            .2
+            .map_or(SPILL_BLOCK, |bytes| bytes.min(SPILL_BLOCK as u64) as usize);
+        SpillSink {
+            file: self,
+            seg,
+            block: Vec::with_capacity(block),
+            rows: 0,
+            bytes: 0,
         }
     }
 
-    /// Seal the file and fill the slot (panics if the slot was filled
-    /// concurrently or the pushed row count disagrees with the header).
+    /// Fill the slot (panics if it was filled already, or if the closed
+    /// segments do not hold the rows the header promised).
     pub fn finish(self) {
-        let store = self.store;
-        let idx = self.idx;
+        let (store, idx) = (self.store, self.idx);
         let slot = self.into_slot();
         if store.cells[idx].set(slot).is_err() {
-            panic!("spill sink: slot {idx} already filled");
+            panic!("spill file: slot {idx} already filled");
         }
     }
 
-    fn into_slot(mut self) -> Slot<T> {
+    fn into_slot(self) -> Slot<T> {
+        let rows = self.sealed_rows.into_inner();
         assert_eq!(
-            self.pushed, self.expected,
-            "spill sink: header promised {} rows, got {}",
-            self.expected, self.pushed
+            rows, self.rows,
+            "spill file: header promised {} rows, segments closed {rows}",
+            self.rows
         );
-        self.writer.write_all(&self.buf).expect("spill write");
-        self.encoded_bytes += self.buf.len() as u64;
-        self.writer.flush().expect("spill flush");
+        let encoded_bytes = HEADER_BYTES + self.sealed_bytes.into_inner();
         if let Some(stats) = &self.store.cfg.stats {
-            stats.add_spill(self.encoded_bytes);
+            stats.add_spill(encoded_bytes);
         }
         self.store.spilled_parts.fetch_add(1, Ordering::Relaxed);
         self.store
             .spilled_bytes
-            .fetch_add(self.encoded_bytes, Ordering::Relaxed);
+            .fetch_add(encoded_bytes, Ordering::Relaxed);
         Slot::Spilled {
             path: self.path,
-            encoded_bytes: self.encoded_bytes,
-            row_count: self.pushed,
+            encoded_bytes,
+            row_count: rows,
         }
+    }
+}
+
+/// Writes one segment of a [`SpillFile`]. A pushed row is framed in
+/// place: its length prefix is reserved in the block, the row encoded
+/// right after it, and the prefix patched. The block goes to disk, with a
+/// positioned write at the segment's next offset, when a row as long as
+/// the last one might not fit, so rows of one size never regrow it.
+pub struct SpillSink<'f, T> {
+    file: &'f SpillFile<'f, T>,
+    seg: usize,
+    block: Vec<u8>,
+    rows: usize,
+    /// Framed bytes pushed so far.
+    bytes: u64,
+}
+
+impl<T: SpillRow> SpillSink<'_, T> {
+    /// Encode one row. Only this row is resident, and only this row is
+    /// charged against the peak meter.
+    pub fn push(&mut self, row: &T) {
+        let at = self.block.len();
+        self.block.extend_from_slice(&[0; PREFIX_BYTES]);
+        row.spill_encode(&mut self.block);
+        let framed = self.block.len() - at;
+        let len = u32::try_from(framed - PREFIX_BYTES).expect("spill row under 4 GiB");
+        self.block[at..at + PREFIX_BYTES].copy_from_slice(&len.to_le_bytes());
+        self.bytes += framed as u64;
+        self.rows += 1;
+        self.file.store.charge_peak(row.approx_bytes() as u64);
+        if self.block.len() + framed > self.block.capacity() {
+            self.write_block();
+        }
+    }
+
+    /// Write the rest of the segment. Panics unless it holds exactly the
+    /// rows, and where metered the framed bytes, its file was laid out
+    /// for.
+    pub fn close(mut self) {
+        let (_, rows, bytes) = self.file.segments[self.seg];
+        assert_eq!(
+            self.rows, rows,
+            "spill segment {}: laid out for {rows} rows, got {}",
+            self.seg, self.rows
+        );
+        if let Some(bytes) = bytes {
+            assert_eq!(
+                self.bytes, bytes,
+                "spill segment {}: metered {bytes} bytes, wrote {}",
+                self.seg, self.bytes
+            );
+        }
+        self.write_block();
+        // Relaxed: `SpillFile::finish` reads the sums after every writer
+        // has joined.
+        self.file
+            .sealed_rows
+            .fetch_add(self.rows, Ordering::Relaxed);
+        self.file
+            .sealed_bytes
+            .fetch_add(self.bytes, Ordering::Relaxed);
+    }
+
+    /// Write the block where it belongs: it holds the segment's last
+    /// `block.len()` framed bytes.
+    fn write_block(&mut self) {
+        let at = self.file.segments[self.seg].0 + self.bytes - self.block.len() as u64;
+        self.file
+            .file
+            .write_all_at(&self.block, at)
+            .expect("spill write");
+        self.block.clear();
     }
 }
 
@@ -1093,6 +1299,15 @@ mod tests {
         );
     }
 
+    /// Spill `rows` into slot `idx` through one sink.
+    fn sink_rows<T: SpillRow>(store: &PartitionStore<T>, idx: usize, rows: &[T]) {
+        let file = store.spill_file(idx, rows.len());
+        let mut sink = file.segment(0);
+        rows.iter().for_each(|row| sink.push(row));
+        sink.close();
+        file.finish();
+    }
+
     /// Every row `replay` pushes out of a filled slot.
     fn replayed<T: SpillRow + Clone>(store: &PartitionStore<T>, idx: usize) -> Vec<T> {
         let mut rows = Vec::new();
@@ -1152,11 +1367,7 @@ mod tests {
             let store: PartitionStore<u64> = PartitionStore::new(1, cfg);
             // Fill through the sink so the strawman's fill-side charge is
             // identical and only the read side differs.
-            let mut sink = store.spill_sink(0, rows.len());
-            for row in &rows {
-                sink.push(row);
-            }
-            sink.finish();
+            sink_rows(&store, 0, &rows);
             assert_eq!(replayed(&store, 0), rows);
             stats.peak_resident_bytes()
         };
@@ -1170,16 +1381,119 @@ mod tests {
     fn spill_sink_and_prefilled_spill_write_identical_slots() {
         let rows: Vec<(u64, String)> = (0..100).map(|i| (i, format!("row-{i}"))).collect();
         let via_sink: PartitionStore<(u64, String)> = PartitionStore::new(1, stream_cfg(8));
-        let mut sink = via_sink.spill_sink(0, rows.len());
-        for row in &rows {
-            sink.push(row);
-        }
-        sink.finish();
+        sink_rows(&via_sink, 0, &rows);
         let via_prefill = PartitionStore::prefilled(vec![rows.clone()], stream_cfg(8));
         assert_eq!(via_prefill.spilled_parts(), 1, "the prefilled slot spills");
         assert_eq!(via_sink.spilled_bytes(), via_prefill.spilled_bytes());
         assert_eq!(*via_sink.load(0).unwrap(), *via_prefill.load(0).unwrap());
         assert_eq!(*via_sink.load(0).unwrap(), rows);
+    }
+
+    /// Spill `chunks` into slot `idx`, one segment per chunk, the
+    /// segments written in parallel.
+    fn sink_segments<T: SpillRow + Send + Sync>(
+        store: &PartitionStore<T>,
+        idx: usize,
+        chunks: &[Vec<T>],
+    ) {
+        let mut scratch = Vec::new();
+        let shares: Vec<(usize, u64)> = chunks
+            .iter()
+            .map(|c| (c.len(), c.iter().map(|r| framed_len(r, &mut scratch)).sum()))
+            .collect();
+        let file = store.spill_segments(idx, &shares);
+        (0..chunks.len()).into_par_iter().for_each(|i| {
+            let mut sink = file.segment(i);
+            chunks[i].iter().for_each(|row| sink.push(row));
+            sink.close();
+        });
+        file.finish();
+    }
+
+    fn spill_file_bytes<T>(store: &PartitionStore<T>, idx: usize) -> Vec<u8> {
+        let dir = store.spill_dir().expect("spilled");
+        std::fs::read(dir.join(format!("part-{idx}.bin"))).expect("spill file")
+    }
+
+    #[test]
+    fn parallel_segments_write_the_bytes_of_one_sink() {
+        let rows: Vec<(u64, String)> = (0..12_000u64)
+            .map(|i| (i, "x".repeat(i as usize % 37)))
+            .collect();
+        // One chunk per pool thread plus empty ones first, in the middle
+        // and last, so there are more segments than threads; then a
+        // bucket whose every segment is empty.
+        let (n, threads) = (rows.len(), peachy_par::current_num_threads());
+        let mut chunks: Vec<Vec<(u64, String)>> = (0..threads)
+            .map(|i| rows[i * n / threads..(i + 1) * n / threads].to_vec())
+            .collect();
+        chunks.insert(chunks.len() / 2, Vec::new());
+        chunks.insert(0, Vec::new());
+        chunks.push(Vec::new());
+        let empty: Vec<Vec<(u64, String)>> = vec![Vec::new(); threads + 3];
+        for (rows, chunks) in [(&rows[..], &chunks), (&[][..], &empty)] {
+            let (one, many) = (CommStats::new(), CommStats::new());
+            let cfg = |stats: &Arc<CommStats>| StoreConfig {
+                budget: Some(8),
+                stats: Some(Arc::clone(stats)),
+                ..StoreConfig::default()
+            };
+            let sequential = PartitionStore::new(1, cfg(&one));
+            sink_rows(&sequential, 0, rows);
+            let segmented = PartitionStore::new(1, cfg(&many));
+            sink_segments(&segmented, 0, chunks);
+            assert_eq!(
+                spill_file_bytes(&segmented, 0),
+                spill_file_bytes(&sequential, 0),
+                "{} rows",
+                rows.len()
+            );
+            assert_eq!(many.spill_bytes(), one.spill_bytes());
+            assert_eq!(segmented.spilled_bytes(), sequential.spilled_bytes());
+            assert_eq!(many.peak_resident_bytes(), one.peak_resident_bytes());
+            assert_eq!(replayed(&segmented, 0), rows);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "metered")]
+    fn a_segment_off_its_metered_bytes_panics() {
+        let store: PartitionStore<String> = PartitionStore::new(1, stream_cfg(8));
+        let file = store.spill_segments(0, &[(1, 4 + 8 + 3)]);
+        let mut sink = file.segment(0);
+        sink.push(&"four".to_string());
+        sink.close();
+    }
+
+    #[test]
+    fn replay_carries_rows_cut_at_every_offset_near_a_block_end() {
+        // A `String` row frames as 4 + 8 + len bytes. The first row leaves
+        // `pad` bytes of the first block, so the block's end cuts the
+        // following rows at every offset of their prefix, length and body.
+        for pad in 0..=48 {
+            let mut rows = vec!["a".repeat(SPILL_BLOCK - 8 - 12 - pad)];
+            rows.extend((0..40).map(|i| format!("row-{i:03}-{}", "b".repeat(i % 7))));
+            let store = PartitionStore::new(1, stream_cfg(8));
+            sink_rows(&store, 0, &rows);
+            assert_eq!(replayed(&store, 0), rows, "pad {pad}");
+        }
+    }
+
+    #[test]
+    fn replay_decodes_a_row_longer_than_a_block_and_an_empty_slot() {
+        let rows = vec![
+            "head".to_string(),
+            "z".repeat(3 * SPILL_BLOCK + 5),
+            "tail".to_string(),
+        ];
+        let store = PartitionStore::new(2, stream_cfg(8));
+        sink_rows(&store, 0, &rows);
+        sink_rows(&store, 1, &[]);
+        assert_eq!(replayed(&store, 0), rows);
+        assert_eq!(store.spilled_parts(), 2, "the empty slot spilled too");
+        assert_eq!(spill_file_bytes(&store, 1), 0u64.to_le_bytes());
+        assert_eq!(replayed(&store, 1), Vec::<String>::new());
+        assert_eq!(*store.load(1).unwrap(), Vec::<String>::new());
     }
 
     #[test]

@@ -224,8 +224,13 @@ impl<I, O> Batcher<I, O> {
         let delay = backoff.delay_ticks(batch.attempt);
         self.stats.record_backoff(delay);
         self.stats.record_replayed(batch.inputs.len() as u64);
-        batch.not_before = self.clock + 1 + delay;
+        batch.not_before = self.clock.saturating_add(1).saturating_add(delay);
         self.ready.push(batch);
+    }
+
+    /// The earliest tick a ready batch may be dispatched.
+    fn next_due(&self) -> Option<u64> {
+        self.ready.iter().map(|b| b.not_before).min()
     }
 }
 
@@ -269,6 +274,12 @@ pub(crate) trait Backend {
     /// Apply the membership changes due at `tick`.
     fn on_tick(&mut self, _tick: u64) {}
 
+    /// The earliest tick at which [`Backend::on_tick`] has scripted work
+    /// left, if any. The pool scripts none.
+    fn next_tick(&self) -> Option<u64> {
+        None
+    }
+
     /// Dispatch one round of due batches. A batch lost to a kill goes
     /// back through [`Batcher::replay`].
     fn run(
@@ -303,13 +314,17 @@ impl<B: Backend> Front<B> {
 
     /// Close everything pending and dispatch it, letting virtual time pass
     /// while replays wait out their backoff, until nothing is left
-    /// undispatched.
+    /// undispatched. While nothing is due the clock jumps to the next tick
+    /// at which a replay comes due or the backend has scripted work, so
+    /// [`Backend::on_tick`] still runs at every scripted tick, in order,
+    /// and a long backoff costs no more than a short one.
     pub(crate) fn flush(&mut self) {
         self.close(true);
-        while !self.q.ready.is_empty() {
+        while let Some(due_at) = self.q.next_due() {
             let due = self.q.take_due();
             if due.is_empty() {
-                self.q.clock += 1;
+                let next = self.back.next_tick().map_or(due_at, |t| t.min(due_at));
+                self.q.clock = next.max(self.q.clock + 1);
                 self.back.on_tick(self.q.clock);
                 continue;
             }

@@ -670,6 +670,21 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_backoff_replays_without_stepping_the_clock() {
+        const BASE: u64 = 1_000_000_000_000_000;
+        let mut c = cfg(64, 4, 2);
+        c.plan = FaultPlan::none().kill(0, 1);
+        c.backoff = TickBackoff::linear(BASE, 0, 1);
+        let server = Server::start(EchoService, Executor::rayon(2), c);
+        let out = server.run_trace((0..16u64).map(|i| (i / 4, i as u32)));
+        for (i, r) in out.iter().enumerate() {
+            assert_eq!(*r, Ok(i as u32), "request {i} answered exactly once");
+        }
+        assert!(server.now() > BASE, "the replay waited out its backoff");
+        assert_eq!(server.shutdown().stats.replayed(), 4);
+    }
+
+    #[test]
     fn pool_rejects_plan_entries_it_cannot_honour() {
         let edge = FaultPlan::new(1).all_edges(peachy_cluster::EdgeFault {
             dup_p: 0.5,

@@ -602,6 +602,12 @@ impl<S: ShardedService> Backend for Shards<S> {
         self.apply_scaling(tick);
     }
 
+    fn next_tick(&self) -> Option<u64> {
+        let revival = self.pending_revivals.iter().map(|&(t, _)| t).min();
+        let scaling = self.scaling.front().map(|&(t, _)| t);
+        revival.into_iter().chain(scaling).min()
+    }
+
     /// Execute one round of `due` batches; this is where kills fire, are
     /// detected, and are survived.
     fn run(&mut self, due: Vec<ShardBatch<S>>, q: &mut Batcher<S::Input, S::Output>) {
@@ -655,7 +661,8 @@ impl<S: ShardedService> Backend for Shards<S> {
                 q.replay(b, &self.cfg.backoff);
             }
             if let Some(after) = self.cfg.plan.revival_of(rank) {
-                self.pending_revivals.push((q.clock + 1 + after, rank));
+                let due = q.clock.saturating_add(1).saturating_add(after);
+                self.pending_revivals.push((due, rank));
             }
         }
         assert!(

@@ -243,6 +243,52 @@ fn a_kill_mid_trace_loses_no_accepted_request() {
 }
 
 #[test]
+fn a_huge_backoff_flushes_promptly_and_answers_every_request() {
+    // Replays wait 10^15 ticks. Flush must jump the clock through the
+    // scripted membership changes to the replays' tick, not step to it.
+    const BASE: u64 = 1_000_000_000_000_000;
+    let seed = 7;
+    for exec in [Executor::seq(), Executor::cluster(4)] {
+        let label = format!("{exec:?}");
+        let cfg = ShardConfig {
+            backoff: TickBackoff::linear(BASE, 0, seed),
+            ..scripted_cfg(seed)
+        };
+        let db = gaussian_blobs(96, 4, 3, 1.5, 700 + seed);
+        let pool = gaussian_blobs(24, 4, 3, 1.5, 800 + seed);
+        let mut server = ShardedServer::start(ShardedKnnService::new(db, 3), exec, cfg);
+        let responses = server.run_trace(keyed_query_trace(seed, 24, 2.0, &pool.points));
+        let report = server.shutdown();
+        let s = &report.stats;
+        for (i, r) in responses.iter().enumerate() {
+            assert!(
+                matches!(r, Ok(_) | Err(ServeError::Overloaded)),
+                "request {i} resolved {r:?} on {label}"
+            );
+        }
+        assert_eq!(s.failed(), 0, "{label}");
+        assert_eq!(s.completed() + s.rejected(), s.submitted(), "{label}");
+        assert!(s.replayed() > 0, "kill never fired on {label}");
+        assert!(report.final_tick > BASE, "replays waited out {BASE} ticks");
+        // Every scripted change still ran at its own tick, in order.
+        let ticks: Vec<u64> = report.reshard_log.iter().map(|r| r.tick).collect();
+        assert!(ticks.windows(2).all(|w| w[0] <= w[1]), "{ticks:?}");
+        for cause in [
+            ReshardCause::Join(4),
+            ReshardCause::Revive(2),
+            ReshardCause::Drain(1),
+        ] {
+            let rec = report
+                .reshard_log
+                .iter()
+                .find(|r| r.cause == cause)
+                .unwrap_or_else(|| panic!("no {cause:?} record on {label}"));
+            assert!(rec.tick < BASE, "{cause:?} ran at tick {}", rec.tick);
+        }
+    }
+}
+
+#[test]
 fn shard_maps_are_pure_functions_of_membership_epoch_and_seed() {
     let seed = 7;
     let cfg = scripted_cfg(seed);
