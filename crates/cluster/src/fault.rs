@@ -182,7 +182,9 @@ impl TickBackoff {
         }
         let draw =
             SplitMix64::mix(mix_seed(self.seed) ^ (attempt as u64).wrapping_mul(0x9e37_79b9));
-        linear + draw % self.jitter
+        // Saturating: once `base · attempt` saturates, a wrapping add
+        // would turn the longest delay into the shortest.
+        linear.saturating_add(draw % self.jitter)
     }
 }
 
@@ -625,6 +627,17 @@ mod tests {
         // Degenerate configs.
         assert_eq!(TickBackoff::none().delay_ticks(7), 0);
         assert_eq!(TickBackoff::linear(2, 0, 0).delay_ticks(4), 8);
+    }
+
+    #[test]
+    fn tick_backoff_saturates_instead_of_wrapping() {
+        let b = TickBackoff::linear(u64::MAX / 2, 3, 1);
+        let delays: Vec<u64> = (1..=4).map(|a| b.delay_ticks(a)).collect();
+        assert!(
+            delays.windows(2).all(|w| w[0] <= w[1]),
+            "delays never decrease: {delays:?}"
+        );
+        assert_eq!(delays[3], u64::MAX, "{delays:?}");
     }
 
     #[test]

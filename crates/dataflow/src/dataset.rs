@@ -245,12 +245,8 @@ where
         if self.auto.armed() {
             // A filled (possibly spilled) cache cell replays from its store
             // — no rebuild. The first consumer computes and fills.
-            if !self.auto.store.replay(idx, emit) {
-                for row in self.compute_partition_shared(idx).iter() {
-                    emit(row.clone());
-                }
-            }
-            return;
+            let compute = || Arc::new(self.compute_raw(idx));
+            return self.auto.store.replay_or_init(idx, emit, compute);
         }
         if self.fuse {
             self.parent
@@ -427,11 +423,8 @@ impl<T: Clone + Send + Sync + SpillRow> Op<T> for CacheOp<T> {
     fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
         // A filled cell (resident or spilled) replays from the store, so a
         // spilled cache is never rebuilt just to be pushed downstream.
-        if !self.store.replay(idx, emit) {
-            for row in self.compute_partition_shared(idx).iter() {
-                emit(row.clone());
-            }
-        }
+        let compute = || self.parent.compute_partition_shared(idx);
+        self.store.replay_or_init(idx, emit, compute);
     }
 }
 

@@ -8,16 +8,16 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use peachy_cluster::dist::ROUTE_SEED;
 use peachy_cluster::{ByteSized, Executor};
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, Op};
 use crate::optimize::PlanReport;
-use crate::plan::{next_stage_id, Partitioning};
-use crate::shuffle::{ElidedShuffleOp, ShuffleOp, ShuffleStats};
-use crate::store::{PartitionStore, SpillReader, SpillRow};
+use crate::plan::Partitioning;
+use crate::shuffle::{ShuffleOp, ShuffleStats};
+use crate::store::{SpillReader, SpillRow};
 
 /// A dataset of key–value rows supporting wide transformations.
 ///
@@ -137,43 +137,17 @@ where
         T: Clone + Send + Sync + SpillRow + 'static,
         F: Fn(&mut dyn FnMut(&mut dyn FnMut((K, V)))) -> Vec<T> + Send + Sync + 'static,
     {
-        let cfg = self.inner.store_cfg();
-        if self.elides(partitions) {
-            // Every key in partition p already routes to p: bucket p of a
-            // real shuffle would hold exactly partition p's rows, in the
-            // same order (one contributing input partition). Run `post`
-            // per partition and move nothing.
-            return Dataset {
-                op: Arc::new(ElidedShuffleOp {
-                    parents: vec![Arc::clone(&self.inner.op)],
-                    partitions,
-                    post,
-                    name,
-                    stats: self.stats.clone(),
-                    stage_id: next_stage_id(),
-                    posted: PartitionStore::new(partitions, cfg),
-                    noted: OnceLock::new(),
-                }),
-                opt: self.inner.opt,
-                stats: self.inner.stats.clone(),
-            };
-        }
-        Dataset {
-            op: Arc::new(ShuffleOp {
-                parent: Arc::clone(&self.inner.op),
-                partitions,
-                post,
-                name,
-                stats: self.stats.clone(),
-                stage_id: next_stage_id(),
-                buckets: PartitionStore::new(partitions, cfg.clone()),
-                routed: OnceLock::new(),
-                posted: PartitionStore::new(partitions, cfg),
-                _marker: std::marker::PhantomData,
-            }),
-            opt: self.inner.opt,
-            stats: self.inner.stats.clone(),
-        }
+        // Elided, where every key in partition p already routes to p:
+        // bucket p of a real shuffle would hold exactly partition p's
+        // rows, in the same order (one contributing input partition), so
+        // `post` runs per partition and nothing moves.
+        self.shuffle_node(
+            name,
+            partitions,
+            post,
+            vec![Arc::clone(&self.inner.op)],
+            self.elides(partitions),
+        )
     }
 
     /// Wide: merge all values of each key with an associative operator.
@@ -306,22 +280,34 @@ where
         if self.elides(partitions) && other.elides(partitions) {
             let left = self.inner.map(|(k, v)| (k, Either::Left(v)));
             let right = other.inner.map(|(k, w)| (k, Either::Right(w)));
-            return Dataset {
-                op: Arc::new(ElidedShuffleOp {
-                    parents: vec![left.op, right.op],
-                    partitions,
-                    post,
-                    name,
-                    stats: self.stats.clone(),
-                    stage_id: next_stage_id(),
-                    posted: PartitionStore::new(partitions, self.inner.store_cfg()),
-                    noted: OnceLock::new(),
-                }),
-                opt: self.inner.opt,
-                stats: self.inner.stats.clone(),
-            };
+            return self.shuffle_node(name, partitions, post, vec![left.op, right.op], true);
         }
         self.tag_union(other).shuffle_with(name, partitions, post)
+    }
+
+    /// The one constructor of a shuffle node: a [`ShuffleOp`] routed out
+    /// of its one parent, or elided over `parents`' matching partitions.
+    fn shuffle_node<U, T, F>(
+        &self,
+        name: &'static str,
+        partitions: usize,
+        post: F,
+        parents: Vec<Arc<dyn Op<(K, U)>>>,
+        elided: bool,
+    ) -> Dataset<T>
+    where
+        K: ByteSized,
+        U: Clone + Send + Sync + ByteSized + SpillRow + 'static,
+        T: Clone + Send + Sync + SpillRow + 'static,
+        F: Fn(&mut dyn FnMut(&mut dyn FnMut((K, U)))) -> Vec<T> + Send + Sync + 'static,
+    {
+        let (stats, cfg) = (self.stats.clone(), self.inner.store_cfg());
+        let op = ShuffleOp::new(name, partitions, post, stats, cfg, parents, elided);
+        Dataset {
+            op: Arc::new(op),
+            opt: self.inner.opt,
+            stats: self.inner.stats.clone(),
+        }
     }
 
     /// Wide: inner join with another keyed dataset — every (v, w) pair for

@@ -51,9 +51,10 @@
 //!   [`ShuffleStats`] meters the spill traffic.
 //! * **Streaming out-of-core execution** — spilled partitions are replayed
 //!   row by row ([`store::PartitionStore::replay`]) instead of being
-//!   rebuilt in memory: fused narrow chains, the shuffle's route/fill
-//!   passes (writing through [`store::SpillSink`]s) and the merge-side
-//!   posts all take rows pushed straight off disk. A deterministic
+//!   rebuilt in memory: fused narrow chains, the shuffle's route pass
+//!   (which writes each input's rows of a spilled bucket as one segment
+//!   of its file) and the merge-side posts all take rows pushed straight
+//!   off disk. A deterministic
 //!   high-water meter (`ShuffleStats::peak_resident_bytes`) proves the
 //!   residency win, and the plan report renders which nodes stream.
 //!
@@ -82,6 +83,4 @@ pub use optimize::{OptimizerConfig, PlanReport};
 pub use peachy_cluster::{ByteSized, RetryPolicy};
 pub use plan::{Partitioning, PlanKind, PlanNode};
 pub use shuffle::ShuffleStats;
-pub use store::{
-    PartitionStore, Residency, SpillFile, SpillReader, SpillRow, SpillSink, StoreConfig,
-};
+pub use store::{PartitionStore, Residency, SpillReader, SpillRow, StoreConfig};

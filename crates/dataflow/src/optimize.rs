@@ -34,6 +34,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use crate::plan::{Lineage, PlanKind, PlanNode};
+use crate::store::Residency;
 
 /// Minimum estimated recompute volume (bytes) before a shared subtree is
 /// worth holding in memory. Below this, recomputing is assumed cheaper
@@ -230,31 +231,21 @@ pub(crate) fn report_for(root: &dyn Lineage) -> PlanReport {
     let mut streamed_nodes = 0usize;
     plan.walk(&mut |node| {
         match node.residency {
-            Some(crate::store::Residency::Mem { budget }) => {
+            Some(Residency::Mem { budget }) => {
                 spill_budget.get_or_insert(budget);
             }
-            Some(crate::store::Residency::Spill {
+            Some(Residency::Disk {
                 budget,
                 spilled_parts: parts,
                 spilled_bytes: bytes,
                 predicted_bytes,
+                streamed,
             }) => {
                 spill_budget = Some(budget);
                 spilled_parts += parts;
                 spilled_bytes += bytes;
                 predicted_spill_bytes += predicted_bytes;
-            }
-            Some(crate::store::Residency::Stream {
-                budget,
-                spilled_parts: parts,
-                spilled_bytes: bytes,
-                predicted_bytes,
-            }) => {
-                spill_budget = Some(budget);
-                spilled_parts += parts;
-                spilled_bytes += bytes;
-                predicted_spill_bytes += predicted_bytes;
-                streamed_nodes += 1;
+                streamed_nodes += usize::from(streamed);
             }
             None => {}
         }
@@ -363,25 +354,17 @@ fn render(node: &PlanNode, indent: usize, optimized: bool, out: &mut String) -> 
     // Residency renders in both modes: the budget applies to the naive
     // plan's holders just the same.
     match node.residency {
-        Some(crate::store::Residency::Mem { .. }) => out.push_str(" [mem]"),
-        Some(crate::store::Residency::Spill {
+        Some(Residency::Mem { .. }) => out.push_str(" [mem]"),
+        Some(Residency::Disk {
             budget,
             spilled_parts,
             spilled_bytes,
             predicted_bytes,
+            streamed,
         }) => {
+            let mode = if streamed { "stream" } else { "spill" };
             out.push_str(&format!(
-                " [spill@{budget}B: {spilled_parts} part(s)/{spilled_bytes} B spilled, pred {predicted_bytes} B]"
-            ));
-        }
-        Some(crate::store::Residency::Stream {
-            budget,
-            spilled_parts,
-            spilled_bytes,
-            predicted_bytes,
-        }) => {
-            out.push_str(&format!(
-                " [stream@{budget}B: {spilled_parts} part(s)/{spilled_bytes} B spilled, pred {predicted_bytes} B]"
+                " [{mode}@{budget}B: {spilled_parts} part(s)/{spilled_bytes} B spilled, pred {predicted_bytes} B]"
             ));
         }
         None => {}

@@ -8,6 +8,11 @@
 //! the boundary so pipelines can be *measured* while being improved — the
 //! §4 exercise.
 //!
+//! One operator, `ShuffleOp`, is every such boundary. Its input says where
+//! bucket `p` comes from: hash-routed out of its parent into a bucket
+//! store, or — where the optimizer elided the boundary — the parents'
+//! partition `p`, in parent order, moving nothing.
+//!
 //! The map side is a stage of its own. Before an action's partition tasks
 //! start, the stage runner (`optimize::prepare_action`) routes every
 //! shuffle bottom-up from the action's thread, so each route pass is one
@@ -31,7 +36,7 @@ use peachy_par::prelude::*;
 
 use crate::dataset::{take_rows, up, Op};
 use crate::plan::{Lineage, PlanKind, PlanNode, ELIDED_MARK, SHUFFLE_MARK};
-use crate::store::{framed_len, PartitionStore, SpillFile, SpillRow, SpillSink};
+use crate::store::{framed_len, PartitionStore, SpillFile, SpillRow, SpillSink, StoreConfig};
 
 /// Counters shared by all shuffles in a lineage (attach one per pipeline
 /// run to compare variants). This is the workspace-wide
@@ -49,231 +54,230 @@ pub(crate) fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
 /// One input partition's rows, bucketed by output partition.
 type Bucketed<K, V> = Vec<Vec<(K, V)>>;
 
-/// The wide lineage node: hash-shuffles `(K, V)` rows into `partitions`
-/// buckets, then applies `post` to each bucket (group, reduce, …).
+/// Where a shuffle's bucket `p` comes from.
+enum Input<K, V> {
+    /// Hash-routed out of the parent's rows into a bucket store, which
+    /// spills the buckets whose exact sizes, metered first, overrun it.
+    Routed {
+        parent: Arc<dyn Op<(K, V)>>,
+        buckets: PartitionStore<(K, V)>,
+    },
+    /// Elided: the parents are hash-partitioned by the seed and count the
+    /// shuffle would route with, so bucket `p` is their partition `p`, in
+    /// parent order — the rows a routed bucket `p` would receive, in order
+    /// (a co-partitioned join's left rows precede its right ones).
+    Elided(Vec<Arc<dyn Op<(K, V)>>>),
+}
+
+/// The wide lineage node: `(K, V)` rows into `partitions` buckets, then
+/// `post` applied to each bucket (group, reduce, join, …).
 pub(crate) struct ShuffleOp<K, V, T, F> {
-    pub parent: Arc<dyn Op<(K, V)>>,
-    pub partitions: usize,
-    pub post: F,
-    pub name: &'static str,
-    pub stats: Option<Arc<ShuffleStats>>,
+    input: Input<K, V>,
+    partitions: usize,
+    post: F,
+    name: &'static str,
+    stats: Option<Arc<ShuffleStats>>,
     /// Stage id labeling this boundary's traffic in the per-stage
     /// [`CommStats`](peachy_cluster::CommStats) ledger (allocated at
-    /// construction via [`crate::plan::next_stage_id`]).
-    pub stage_id: u32,
-    /// The materialized buckets, behind the storage seam: a bucket whose
-    /// exact byte size (known from the route pass, before any bucket is
-    /// built) does not fit the budget is streamed to disk instead of
-    /// merged in RAM.
-    pub buckets: PartitionStore<(K, V)>,
-    /// Guards the one-shot route-and-materialize pass, so the stage
-    /// runner and a lazy reduce-side task never route twice.
-    pub routed: OnceLock<()>,
+    /// construction via [`crate::plan::next_stage_id`]); an elided one
+    /// keeps it so plan reports say which boundary disappeared.
+    stage_id: u32,
+    /// Guards the one-shot map side — the route pass, or the elision's
+    /// count — so the stage runner and a lazy reduce-side task never run
+    /// it twice.
+    routed: OnceLock<()>,
     /// Per-output-partition memo of `post`'s result: repeated actions on
     /// a shuffled dataset pay the bucket clone + regroup exactly once.
-    pub posted: PartitionStore<T>,
-    pub _marker: std::marker::PhantomData<fn() -> T>,
+    posted: PartitionStore<T>,
+    _marker: std::marker::PhantomData<fn() -> T>,
 }
 
 impl<K, V, T, F> ShuffleOp<K, V, T, F>
 where
     K: Clone + Send + Sync + Hash + Eq + ByteSized + SpillRow + 'static,
     V: Clone + Send + Sync + ByteSized + SpillRow + 'static,
-    T: Send + Sync,
-    F: Send + Sync,
+    T: Clone + Send + Sync + SpillRow + 'static,
+    F: Fn(&mut dyn FnMut(&mut dyn FnMut((K, V)))) -> Vec<T> + Send + Sync,
 {
-    /// Route every input partition into the buckets, once. The stage
-    /// runner calls this from the action's thread before any reduce-side
-    /// task starts. A reduce-side task calls it too, for the shuffles the
-    /// runner leaves lazy (under `take` or a retry); there the pass runs
-    /// inline on that task's thread.
-    fn route(&self) {
-        self.routed.get_or_init(|| {
-            let (counts, sizes) = if self.buckets.streams() {
-                self.route_streaming()
-            } else {
-                self.route_materialized()
+    /// The boundary over `parents`: routed out of its one parent, or, when
+    /// `elided`, a narrow pass over every parent's matching partitions.
+    pub(crate) fn new(
+        name: &'static str,
+        partitions: usize,
+        post: F,
+        stats: Option<Arc<ShuffleStats>>,
+        cfg: StoreConfig,
+        parents: Vec<Arc<dyn Op<(K, V)>>>,
+        elided: bool,
+    ) -> Self {
+        let input = if elided {
+            Input::Elided(parents)
+        } else {
+            let Ok([parent]) = <[_; 1]>::try_from(parents) else {
+                panic!("a routed shuffle has one parent");
             };
-            let moved: u64 = counts.iter().map(|&c| c as u64).sum();
-            let moved_bytes: u64 = sizes.iter().sum();
-            if let Some(stats) = &self.stats {
-                stats.add_shuffle(moved);
-                stats.add_bytes(moved_bytes);
-                stats.add_stage(self.stage_id, moved, moved_bytes);
+            let buckets = PartitionStore::new(partitions, cfg.clone());
+            Input::Routed { parent, buckets }
+        };
+        Self {
+            input,
+            partitions,
+            post,
+            name,
+            stats,
+            stage_id: crate::plan::next_stage_id(),
+            routed: OnceLock::new(),
+            posted: PartitionStore::new(partitions, cfg),
+            _marker: std::marker::PhantomData,
+        }
+    }
+
+    fn parents(&self) -> &[Arc<dyn Op<(K, V)>>] {
+        match &self.input {
+            Input::Routed { parent, .. } => std::slice::from_ref(parent),
+            Input::Elided(parents) => parents,
+        }
+    }
+
+    /// Run the map side once: route every input partition into the
+    /// buckets, or count the elision. The stage runner calls this from the
+    /// action's thread before any reduce-side task starts. A reduce-side
+    /// task calls it too, for the shuffles the runner leaves lazy (under
+    /// `take` or a retry); there the pass runs inline on that task's
+    /// thread.
+    fn route(&self) {
+        self.routed.get_or_init(|| match &self.input {
+            Input::Routed { parent, buckets } => {
+                let (records, bytes) = self.route_buckets(parent, buckets);
+                if let Some(stats) = &self.stats {
+                    stats.add_shuffle(records);
+                    stats.add_bytes(bytes);
+                    stats.add_stage(self.stage_id, records, bytes);
+                }
             }
+            Input::Elided(_) => self.stats.iter().for_each(|s| s.add_elided_shuffle()),
         });
     }
 
-    /// The mem-mode (and rebuild-strawman) map side: every parent
-    /// partition materialized and bucketed in one parallel loop (parallel
-    /// when the stage runner calls it from the action's thread; inline on
-    /// a lazy reduce-side task's thread otherwise), two passes — route
-    /// every row first, then fill exact-capacity buckets, so no bucket
-    /// ever reallocates mid-fill. Each input also meters its per-bucket
-    /// byte volume, so every output bucket's exact size is known before
-    /// any bucket is merged — the spill decision happens pre-fill.
-    fn route_materialized(&self) -> (Vec<usize>, Vec<u64>) {
-        let per_input: Vec<(Bucketed<K, V>, Vec<u64>)> = (0..self.parent.partitions())
-            .into_par_iter()
-            .map(|i| {
-                let rows = take_rows(self.parent.compute_partition_shared(i));
-                let mut counts = vec![0usize; self.partitions];
-                let routes: Vec<u32> = rows
-                    .iter()
-                    .map(|(k, _)| {
-                        let p = partition_of(k, self.partitions);
-                        counts[p] += 1;
-                        p as u32
-                    })
-                    .collect();
-                let mut buckets: Vec<Vec<(K, V)>> =
-                    counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-                let mut bucket_bytes = vec![0u64; self.partitions];
-                for (row, p) in rows.into_iter().zip(routes) {
-                    bucket_bytes[p as usize] += row.approx_bytes() as u64;
-                    buckets[p as usize].push(row);
-                }
-                (buckets, bucket_bytes)
-            })
-            .collect();
-        // Exact per-bucket sizes: the sum over inputs of each input's
-        // share of the bucket. The greedy pre-sized plan decides which
-        // buckets stay resident — a pure function of sizes and budget.
-        let mut sizes = vec![0u64; self.partitions];
-        let mut counts = vec![0usize; self.partitions];
-        for (input, bytes) in &per_input {
-            for p in 0..self.partitions {
-                counts[p] += input[p].len();
-                sizes[p] += bytes[p];
-            }
-        }
-        let spill = self.buckets.plan_presized(&sizes);
-        // Spilled buckets stream-encode straight out of the per-input
-        // buckets in input-partition order — the same merge order a
-        // resident bucket gets — without ever concatenating in RAM.
-        for (p, &spill_p) in spill.iter().enumerate() {
-            if spill_p {
-                let file = self.buckets.spill_file(p, counts[p]);
-                let mut sink = file.segment(0);
-                for (input, _) in &per_input {
-                    input[p].iter().for_each(|row| sink.push(row));
-                }
-                sink.close();
-                file.finish();
-            }
-        }
-        self.fill_resident_buckets(
-            per_input.into_iter().map(|(input, _)| input),
-            &counts,
-            &spill,
-        );
-        (counts, sizes)
-    }
-
-    /// Fill every bucket the plan keeps resident from the inputs' shares,
-    /// merged into exact-capacity vectors in input-partition order, so
-    /// downstream grouping is deterministic.
-    fn fill_resident_buckets(
+    /// The route pass: two passes over `parent`'s partitions, each one
+    /// parallel loop (inline on a lazy reduce-side task's thread). Returns
+    /// the records and bytes that crossed the boundary.
+    ///
+    /// Pass 1 meters, per input and bucket, the rows, their bytes (for the
+    /// spill plan) and, under a budget, their framed spill bytes. So every
+    /// bucket's exact size is known before any bucket fills, the greedy
+    /// pre-sized plan picks the buckets that spill, and each spilled
+    /// bucket's file is laid out: the header, then input 0's rows, input
+    /// 1's rows, and so on, one segment per input. Pass 2 then runs the
+    /// inputs in parallel: each writes its rows of every spilled bucket as
+    /// that file's segment `i` and keeps its rows of every resident bucket
+    /// in a share of exact capacity. The shares merge in input order, so
+    /// every bucket, on disk or in RAM, holds its rows in input-partition
+    /// order, byte for byte what one sequential pass would write.
+    ///
+    /// Store modes differ only in where pass 2 gets its rows. A store that
+    /// does not stream (mem mode and the rebuild strawman) keeps each
+    /// input's rows, bucketed, from pass 1. A streaming store keeps none:
+    /// pass 2 pushes the input through the narrow chain again, which is
+    /// exactly the engine's lineage-recompute contract (row closures are
+    /// pure; anything effectful sits behind a cache or retry barrier,
+    /// whose stores replay instead of recomputing).
+    fn route_buckets(
         &self,
-        inputs: impl IntoIterator<Item = Bucketed<K, V>>,
-        counts: &[usize],
-        spill: &[bool],
-    ) {
-        let mut merged: Bucketed<K, V> = counts
-            .iter()
-            .zip(spill)
-            .map(|(&c, &s)| Vec::with_capacity(if s { 0 } else { c }))
-            .collect();
-        for input in inputs {
-            for ((bucket, share), &s) in merged.iter_mut().zip(input).zip(spill) {
-                if !s {
-                    bucket.extend(share);
-                }
-            }
-        }
-        for (p, rows) in merged.into_iter().enumerate() {
-            if !spill[p] {
-                self.buckets.fill_resident(p, Arc::new(rows));
-            }
-        }
-    }
-
-    /// The streaming map side (budgeted stores with streaming on): no
-    /// input partition is ever materialized just to be bucketed.
-    ///
-    /// Both passes push every input through the narrow chain, in one
-    /// parallel loop each. Pass 1 meters, per input and bucket, the rows,
-    /// their bytes (for the spill plan) and their framed spill bytes. Those
-    /// fix the layout of each spilled bucket's file: the header, then input
-    /// 0's rows, input 1's rows, and so on — the input-partition merge
-    /// order the materialized path produces. Pass 2 then replays the inputs
-    /// *in parallel*: each writes its rows of every spilled bucket as that
-    /// file's segment `i`, with positioned writes at its own offset, and
-    /// collects its rows of every resident bucket in a share of exact
-    /// capacity. The shares concatenate in input order afterwards, so every
-    /// bucket, on disk or in RAM, holds the rows a sequential pass would
-    /// have written, byte for byte.
-    ///
-    /// The cost is running the upstream chain twice, which is exactly the
-    /// engine's lineage-recompute contract (row closures are pure;
-    /// anything effectful sits behind a cache or retry barrier, whose
-    /// stores replay pass 2 instead of recomputing).
-    fn route_streaming(&self) -> (Vec<usize>, Vec<u64>) {
-        let n_in = self.parent.partitions();
-        // Per input and bucket: (rows, bytes, framed spill bytes).
-        let metered: Vec<Vec<(usize, u64, u64)>> = (0..n_in)
+        parent: &Arc<dyn Op<(K, V)>>,
+        buckets: &PartitionStore<(K, V)>,
+    ) -> (u64, u64) {
+        let n = self.partitions;
+        let (streams, budgeted) = (buckets.streams(), buckets.budgeted());
+        // Per input: (rows, bytes, framed spill bytes) of each bucket, and
+        // the input's rows by bucket where the store keeps them.
+        type Metered<K, V> = (Vec<(usize, u64, u64)>, Option<Bucketed<K, V>>);
+        let metered: Vec<Metered<K, V>> = (0..parent.partitions())
             .into_par_iter()
             .map(|i| {
-                let mut meter = vec![(0usize, 0u64, 0u64); self.partitions];
+                let mut meter = vec![(0usize, 0u64, 0u64); n];
                 let mut scratch = Vec::new();
-                self.parent.push_partition(i, &mut |row: (K, V)| {
-                    let m = &mut meter[partition_of(&row.0, self.partitions)];
+                let mut tally = |row: &(K, V)| {
+                    let p = partition_of(&row.0, n);
+                    let m = &mut meter[p];
                     m.0 += 1;
                     m.1 += row.approx_bytes() as u64;
-                    m.2 += framed_len(&row, &mut scratch);
-                });
-                meter
+                    if budgeted {
+                        m.2 += framed_len(row, &mut scratch);
+                    }
+                    p as u32
+                };
+                if streams {
+                    parent.push_partition(i, &mut |row| {
+                        tally(&row);
+                    });
+                    return (meter, None);
+                }
+                // Route every row first, then fill exact-capacity shares,
+                // so no share reallocates mid-fill.
+                let rows = take_rows(parent.compute_partition_shared(i));
+                let routes: Vec<u32> = rows.iter().map(tally).collect();
+                let mut shares: Bucketed<K, V> =
+                    meter.iter().map(|m| Vec::with_capacity(m.0)).collect();
+                for (row, p) in rows.into_iter().zip(routes) {
+                    shares[p as usize].push(row);
+                }
+                (meter, Some(shares))
             })
             .collect();
-        let mut sizes = vec![0u64; self.partitions];
-        let mut counts = vec![0usize; self.partitions];
-        for meter in &metered {
+        let mut counts = vec![0usize; n];
+        let mut sizes = vec![0u64; n];
+        for (meter, _) in &metered {
             for (p, &(rows, bytes, _)) in meter.iter().enumerate() {
                 counts[p] += rows;
                 sizes[p] += bytes;
             }
         }
-        let spill = self.buckets.plan_presized(&sizes);
+        let spill = buckets.plan_presized(&sizes);
         let files: Vec<Option<SpillFile<'_, (K, V)>>> = spill
             .iter()
             .enumerate()
             .map(|(p, &s)| {
                 s.then(|| {
-                    let shares: Vec<(usize, u64)> =
-                        metered.iter().map(|m| (m[p].0, m[p].2)).collect();
-                    self.buckets.spill_segments(p, &shares)
+                    let segments: Vec<(usize, u64)> =
+                        metered.iter().map(|(m, _)| (m[p].0, m[p].2)).collect();
+                    buckets.spill_segments(p, &segments)
                 })
             })
             .collect();
-        let shares: Vec<Bucketed<K, V>> = (0..n_in)
+        let shares: Vec<Bucketed<K, V>> = metered
             .into_par_iter()
-            .map(|i| {
+            .enumerate()
+            .map(|(i, (meter, kept))| {
                 let mut sinks: Vec<Option<SpillSink<'_, (K, V)>>> = files
                     .iter()
                     .map(|file| file.as_ref().map(|f| f.segment(i)))
                     .collect();
-                let mut resident: Bucketed<K, V> = metered[i]
-                    .iter()
-                    .zip(&spill)
-                    .map(|(&(rows, ..), &s)| Vec::with_capacity(if s { 0 } else { rows }))
-                    .collect();
-                self.parent.push_partition(i, &mut |row: (K, V)| {
-                    let p = partition_of(&row.0, self.partitions);
-                    match &mut sinks[p] {
-                        Some(sink) => sink.push(&row),
-                        None => resident[p].push(row),
+                let resident = match kept {
+                    Some(mut shares) => {
+                        for (share, sink) in shares.iter_mut().zip(&mut sinks) {
+                            if let Some(sink) = sink {
+                                std::mem::take(share).iter().for_each(|row| sink.push(row));
+                            }
+                        }
+                        shares
                     }
-                });
+                    None => {
+                        let mut resident: Bucketed<K, V> = meter
+                            .iter()
+                            .zip(&spill)
+                            .map(|(&(rows, ..), &s)| Vec::with_capacity(if s { 0 } else { rows }))
+                            .collect();
+                        parent.push_partition(i, &mut |row: (K, V)| {
+                            let p = partition_of(&row.0, n);
+                            match &mut sinks[p] {
+                                Some(sink) => sink.push(&row),
+                                None => resident[p].push(row),
+                            }
+                        });
+                        resident
+                    }
+                };
                 sinks.into_iter().flatten().for_each(SpillSink::close);
                 resident
             })
@@ -281,8 +285,46 @@ where
         for file in files.into_iter().flatten() {
             file.finish();
         }
-        self.fill_resident_buckets(shares, &counts, &spill);
-        (counts, sizes)
+        // Merge each resident bucket into an exact-capacity vector, in
+        // input order, so downstream grouping is deterministic. A spilled
+        // bucket's shares are empty.
+        let mut merged: Bucketed<K, V> = counts
+            .iter()
+            .zip(&spill)
+            .map(|(&c, &s)| Vec::with_capacity(if s { 0 } else { c }))
+            .collect();
+        for input in shares {
+            for (bucket, share) in merged.iter_mut().zip(input) {
+                bucket.extend(share);
+            }
+        }
+        for (p, rows) in merged.into_iter().enumerate() {
+            if !spill[p] {
+                buckets.fill_resident(p, Arc::new(rows));
+            }
+        }
+        (counts.iter().map(|&c| c as u64).sum(), sizes.iter().sum())
+    }
+
+    /// Run `post` over bucket `idx`. A routed bucket replays out of its
+    /// store: resident rows clone out one at a time, a spilled bucket
+    /// decodes row by row — it is never rebuilt as one `Vec` just to be
+    /// grouped. An elided bucket pushes the parents' partition `idx` in
+    /// parent order, so a parent whose partition spilled streams rather
+    /// than rebuilds.
+    fn run_post(&self, idx: usize) -> Arc<Vec<T>> {
+        self.route();
+        Arc::new((self.post)(&mut |emit| match &self.input {
+            Input::Routed { buckets, .. } => {
+                assert!(buckets.replay(idx, emit), "route filled every bucket");
+            }
+            Input::Elided(parents) => {
+                for parent in parents {
+                    debug_assert_eq!(parent.partitions(), self.partitions);
+                    parent.push_partition(idx, emit);
+                }
+            }
+        }))
     }
 }
 
@@ -297,25 +339,12 @@ where
         self.partitions
     }
     fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
-        self.posted.get_or_init(idx, || {
-            self.route();
-            // The merge pass replays the bucket out of its store: resident
-            // rows clone out one at a time, a spilled bucket decodes
-            // row-by-row — it is never rebuilt as one `Vec` just to be
-            // grouped.
-            Arc::new((self.post)(&mut |emit| {
-                assert!(self.buckets.replay(idx, emit), "route filled every bucket");
-            }))
-        })
+        self.posted.get_or_init(idx, || self.run_post(idx))
     }
     fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
         // A filled memoized post replays from its store (a spilled post
         // cell streams); the first consumer computes and fills.
-        if !self.posted.replay(idx, emit) {
-            for row in take_rows(self.compute_partition_shared(idx)) {
-                emit(row);
-            }
-        }
+        self.posted.replay_or_init(idx, emit, || self.run_post(idx));
     }
 }
 
@@ -332,149 +361,57 @@ where
             .as_ref()
             .and_then(|s| s.stage_comm(self.stage_id))
             .map(|c| c.bytes);
-        // The buckets store is the shuffle's materialization: its spill
-        // picture is the one worth rendering. Predicted volume prefers
-        // the measured stage bytes over size estimates.
-        let est_bytes = measured.or_else(|| {
-            up(&self.parent)
-                .est_rows()
-                .map(|r| r * std::mem::size_of::<(K, V)>() as u64)
-        });
+        let est_rows = Lineage::est_rows(self);
+        // A routed shuffle's buckets store is its materialization: its
+        // spill picture is the one worth rendering, and predicted volume
+        // prefers the measured stage bytes over size estimates. An elided
+        // one holds only its posts.
+        let (residency, mark) = match &self.input {
+            Input::Routed { parent, buckets } => {
+                let est_bytes = measured.or_else(|| {
+                    up(parent)
+                        .est_rows()
+                        .map(|r| r * std::mem::size_of::<(K, V)>() as u64)
+                });
+                (buckets.residency(est_bytes), SHUFFLE_MARK)
+            }
+            Input::Elided(_) => {
+                let est_bytes = est_rows.map(|r| r * std::mem::size_of::<T>() as u64);
+                (self.posted.residency(est_bytes), ELIDED_MARK)
+            }
+        };
         PlanNode {
             id: self.lineage_id(),
-            label: format!(
-                "{}[{} partitions] {}",
-                self.name, self.partitions, SHUFFLE_MARK
-            ),
+            label: format!("{}[{} partitions] {mark}", self.name, self.partitions),
             kind: PlanKind::Shuffle {
                 stage: self.stage_id,
-                elided: false,
+                elided: matches!(self.input, Input::Elided(_)),
             },
             partitions: self.partitions,
-            est_rows: Lineage::est_rows(self),
+            est_rows,
             row_bytes: std::mem::size_of::<T>(),
             measured_bytes: measured,
-            residency: self.buckets.residency(est_bytes),
-            children: vec![up(&self.parent).plan()],
+            residency,
+            children: self.parents().iter().map(|p| up(p).plan()).collect(),
         }
     }
     fn lineage_children(&self, visit: &mut dyn FnMut(&dyn Lineage)) {
-        visit(up(&self.parent));
+        for parent in self.parents() {
+            visit(up(parent));
+        }
     }
     fn run_stage(&self, inputs: &mut dyn FnMut(&dyn Lineage)) {
-        inputs(up(&self.parent));
+        self.lineage_children(inputs);
         self.route();
     }
     fn est_rows(&self) -> Option<u64> {
         // Exact once every output partition's post has run; before that,
-        // the parent's row count is an upper bound (posts only group or
+        // the parents' row count is an upper bound (posts only group or
         // reduce, never expand, in this engine's combinators).
         let done: Option<u64> = (0..self.partitions)
             .map(|p| self.posted.part_len(p).map(|rows| rows as u64))
             .sum();
-        done.or_else(|| up(&self.parent).est_rows())
-    }
-}
-
-/// A shuffle boundary the optimizer removed: the parent(s) are provably
-/// hash-partitioned by the same seed and partition count the shuffle would
-/// have routed with, so output partition `p` is exactly `post` applied to
-/// the concatenation of each parent's partition `p` — the same input rows,
-/// in the same order, a naive shuffle's bucket `p` would have received.
-/// Zero records cross the boundary; the rewrite is a narrow per-partition
-/// pass.
-///
-/// Co-partitioned joins are the multi-parent case: instead of unioning two
-/// pre-tagged sides and re-shuffling, both sides' matching partitions feed
-/// `post` directly (left's rows before right's, matching the union order
-/// a naive plan shuffles).
-pub(crate) struct ElidedShuffleOp<R, T, F> {
-    pub parents: Vec<Arc<dyn Op<R>>>,
-    pub partitions: usize,
-    pub post: F,
-    pub name: &'static str,
-    pub stats: Option<Arc<ShuffleStats>>,
-    /// Stage id the *naive* boundary would have carried — kept so plan
-    /// reports can say which boundary disappeared.
-    pub stage_id: u32,
-    pub posted: PartitionStore<T>,
-    /// Records the elision in [`ShuffleStats`] exactly once per op.
-    pub noted: OnceLock<()>,
-}
-
-impl<R, T, F> Op<T> for ElidedShuffleOp<R, T, F>
-where
-    R: Clone + Send + Sync + 'static,
-    T: Clone + Send + Sync + SpillRow + 'static,
-    F: Fn(&mut dyn FnMut(&mut dyn FnMut(R))) -> Vec<T> + Send + Sync,
-{
-    fn partitions(&self) -> usize {
-        self.partitions
-    }
-    fn compute_partition_shared(&self, idx: usize) -> Arc<Vec<T>> {
-        self.posted.get_or_init(idx, || {
-            self.noted.get_or_init(|| {
-                if let Some(stats) = &self.stats {
-                    stats.add_elided_shuffle();
-                }
-            });
-            // Push the parents' partition `idx` in parent order (left
-            // before right, matching the union order a naive shuffle's
-            // bucket receives) — a parent whose partition spilled streams
-            // rather than rebuilds.
-            Arc::new((self.post)(&mut |emit| {
-                for parent in &self.parents {
-                    debug_assert_eq!(parent.partitions(), self.partitions);
-                    parent.push_partition(idx, emit);
-                }
-            }))
-        })
-    }
-    fn push_partition(&self, idx: usize, emit: &mut dyn FnMut(T)) {
-        if !self.posted.replay(idx, emit) {
-            for row in take_rows(self.compute_partition_shared(idx)) {
-                emit(row);
-            }
-        }
-    }
-}
-
-impl<R, T, F> Lineage for ElidedShuffleOp<R, T, F>
-where
-    R: Clone + Send + Sync + 'static,
-    T: Clone + Send + Sync + SpillRow + 'static,
-    F: Fn(&mut dyn FnMut(&mut dyn FnMut(R))) -> Vec<T> + Send + Sync,
-{
-    fn plan(&self) -> PlanNode {
-        let est_bytes = Lineage::est_rows(self).map(|r| r * std::mem::size_of::<T>() as u64);
-        PlanNode {
-            id: self.lineage_id(),
-            label: format!(
-                "{}[{} partitions] {}",
-                self.name, self.partitions, ELIDED_MARK
-            ),
-            kind: PlanKind::Shuffle {
-                stage: self.stage_id,
-                elided: true,
-            },
-            partitions: self.partitions,
-            est_rows: Lineage::est_rows(self),
-            row_bytes: std::mem::size_of::<T>(),
-            measured_bytes: None,
-            residency: self.posted.residency(est_bytes),
-            children: self.parents.iter().map(|p| up(p).plan()).collect(),
-        }
-    }
-    fn lineage_children(&self, visit: &mut dyn FnMut(&dyn Lineage)) {
-        for parent in &self.parents {
-            visit(up(parent));
-        }
-    }
-    fn est_rows(&self) -> Option<u64> {
-        let done: Option<u64> = (0..self.partitions)
-            .map(|p| self.posted.part_len(p).map(|rows| rows as u64))
-            .sum();
-        done.or_else(|| self.parents.iter().map(|p| up(p).est_rows()).sum())
+        done.or_else(|| self.parents().iter().map(|p| up(p).est_rows()).sum())
     }
 }
 
@@ -491,11 +428,15 @@ mod tests {
         out
     }
 
+    fn cfg() -> StoreConfig {
+        StoreConfig::default()
+    }
+
     /// Gives a test post the signature a shuffle takes, so that it accepts
     /// pushed rows of every lifetime.
-    fn post<F>(f: F) -> F
+    fn post<R, F>(f: F) -> F
     where
-        F: Fn(&mut dyn FnMut(&mut dyn FnMut((u64, u64)))) -> Vec<(u64, u64)>,
+        F: Fn(&mut dyn FnMut(&mut dyn FnMut(R))) -> Vec<R>,
     {
         f
     }
@@ -507,21 +448,20 @@ mod tests {
         let post_calls = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&post_calls);
         let partitions = 3;
-        let op = ShuffleOp {
-            parent: Arc::clone(&ds.op),
+        let identity = post(move |bucket| {
+            c.fetch_add(1, Ordering::Relaxed);
+            pushed(bucket)
+        });
+        let parents = vec![Arc::clone(&ds.op)];
+        let op = ShuffleOp::new(
+            "Identity",
             partitions,
-            post: post(move |bucket| {
-                c.fetch_add(1, Ordering::Relaxed);
-                pushed(bucket)
-            }),
-            name: "Identity",
-            stats: None,
-            stage_id: crate::plan::next_stage_id(),
-            buckets: PartitionStore::new(partitions, Default::default()),
-            routed: OnceLock::new(),
-            posted: PartitionStore::new(partitions, Default::default()),
-            _marker: std::marker::PhantomData,
-        };
+            identity,
+            None,
+            cfg(),
+            parents,
+            false,
+        );
         let first: Vec<Vec<(u64, u64)>> = (0..partitions)
             .map(|p| take_rows(op.compute_partition_shared(p)))
             .collect();
@@ -551,18 +491,10 @@ mod tests {
         let rows: Vec<(u64, u64)> = (0..32).map(|i| (i, i * 2)).collect();
         let ds = Dataset::from_vec(rows, 4);
         let stats = Arc::new(ShuffleStats::new());
-        let op = ShuffleOp {
-            parent: Arc::clone(&ds.op),
-            partitions: 2,
-            post: post(|bucket| pushed(bucket)),
-            name: "Identity",
-            stats: Some(Arc::clone(&stats)),
-            stage_id: crate::plan::next_stage_id(),
-            buckets: PartitionStore::new(2, Default::default()),
-            routed: OnceLock::new(),
-            posted: PartitionStore::new(2, Default::default()),
-            _marker: std::marker::PhantomData,
-        };
+        let identity = post(|bucket| pushed(bucket));
+        let stats_in: Option<Arc<ShuffleStats>> = Some(Arc::clone(&stats));
+        let parents = vec![Arc::clone(&ds.op)];
+        let op = ShuffleOp::new("Identity", 2, identity, stats_in, cfg(), parents, false);
         op.compute_partition_shared(0);
         op.compute_partition_shared(1);
         assert_eq!(stats.shuffles(), 1, "materialized once");
@@ -589,16 +521,18 @@ mod tests {
         let right = Dataset::from_vec(vec![(0u64, 10u64), (0, 20), (1, 30), (1, 40)], 2);
         let stats = Arc::new(ShuffleStats::new());
         let partitions = 2;
-        let op = ElidedShuffleOp {
-            parents: vec![Arc::clone(&left.op), Arc::clone(&right.op)],
+        let identity = post(|bucket| pushed(bucket));
+        let parents = vec![Arc::clone(&left.op), Arc::clone(&right.op)];
+        let stats_in: Option<Arc<ShuffleStats>> = Some(Arc::clone(&stats));
+        let op = ShuffleOp::new(
+            "Identity",
             partitions,
-            post: post(|bucket| pushed(bucket)),
-            name: "Identity",
-            stats: Some(Arc::clone(&stats)),
-            stage_id: crate::plan::next_stage_id(),
-            posted: PartitionStore::new(partitions, Default::default()),
-            noted: OnceLock::new(),
-        };
+            identity,
+            stats_in,
+            cfg(),
+            parents,
+            true,
+        );
         assert_eq!(
             *op.compute_partition_shared(0),
             vec![(0, 1), (0, 2), (0, 10), (0, 20)],
@@ -614,6 +548,48 @@ mod tests {
         assert_eq!(stats.records(), 0, "nothing crossed the boundary");
         assert_eq!(stats.bytes(), 0);
         assert!(op.plan().label.contains("shuffle elided"));
+    }
+
+    #[test]
+    fn streamed_and_kept_routes_write_identical_bucket_files() {
+        // One spilling route per store mode, at one budget: the streaming
+        // store pushes its inputs through the chain twice, the rebuild
+        // strawman keeps them from pass 1, and both write every spilled
+        // bucket as one segment per input.
+        let rows: Vec<(u64, String)> = (0..4_000u64)
+            .map(|i| (i % 113, "v".repeat(i as usize % 17)))
+            .collect();
+        let budget = rows.iter().map(|r| r.approx_bytes() as u64).sum::<u64>() / 2;
+        let route = |stream: bool| {
+            let ds = Dataset::from_vec(rows.clone(), 4).map(|(k, v)| (k * 3, v));
+            let stats = ShuffleStats::new();
+            let cfg = StoreConfig {
+                budget: Some(budget),
+                stats: Some(Arc::clone(&stats)),
+                stream,
+            };
+            let identity = post(|bucket| pushed(bucket));
+            let op = ShuffleOp::new("Identity", 8, identity, None, cfg, vec![ds.op], false);
+            op.route();
+            let Input::Routed { buckets, .. } = &op.input else {
+                unreachable!("a routed shuffle");
+            };
+            let dir = buckets.spill_dir().expect("some bucket spilled");
+            let files: Vec<Option<Vec<u8>>> = (0..8)
+                .map(|p| std::fs::read(dir.join(format!("part-{p}.bin"))).ok())
+                .collect();
+            let out: Vec<Vec<(u64, String)>> = (0..8)
+                .map(|p| take_rows(op.compute_partition_shared(p)))
+                .collect();
+            (files, stats.spills(), stats.spill_bytes(), out)
+        };
+        let (streamed, kept) = (route(true), route(false));
+        let spilled = streamed.0.iter().flatten().count();
+        assert!(0 < spilled && spilled < 8, "{spilled} of 8 buckets spilled");
+        assert_eq!(streamed.0, kept.0, "every bucket file byte-identical");
+        assert_eq!(streamed.1, kept.1, "spills");
+        assert_eq!(streamed.2, kept.2, "spill_bytes");
+        assert_eq!(streamed.3, kept.3, "posted rows");
     }
 
     #[test]

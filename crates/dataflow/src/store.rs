@@ -47,24 +47,26 @@
 //! # The block codec
 //!
 //! A spill file is `[u64 rows]` followed by `[u32 len][row]` per row.
-//! `replay` reads it in 64 KiB blocks and decodes each row straight out of
-//! the block; a row the block's end cuts is carried to the front of the
-//! next block, and the block grows for a row longer than itself.
+//! Every read of a spilled slot — `replay`, and the whole-partition
+//! rebuild behind `load` and `get_or_init` — goes through one block reader:
+//! it reads 64 KiB blocks and decodes each row straight out of the block; a
+//! row the block's end cuts is carried to the front of the next block, and
+//! the block grows for a row longer than itself.
 //!
-//! The write side is a [`SpillFile`]: the header, then one or more
-//! segments of rows in segment order, each written by its own
-//! [`SpillSink`]. A sink frames a row in place — it reserves the length
-//! prefix in its block, encodes the row right after it and patches the
-//! prefix — and writes the block when the next row might not fit. A
-//! file's segments start at offsets fixed by the framed bytes metered for
-//! the segments before them ([`PartitionStore::spill_segments`]), so they
-//! fill in parallel, with positioned writes through the file's one handle,
-//! and still lay down the bytes one sink pushing every row in order would
-//! ([`PartitionStore::spill_file`], the one-segment case). Each segment
-//! checks on close that it wrote exactly its metered rows and bytes. The
-//! shuffle's streaming route writes each input's rows as one segment of
-//! every spilled bucket, and pre-sized fills place their partitions on the
-//! `peachy-par` pool, so the ones they spill encode in parallel.
+//! The write side is a `SpillFile`: the header, then one or more segments
+//! of rows in segment order, each written by its own `SpillSink`. A sink
+//! frames a row in place — it reserves the length prefix in its block,
+//! encodes the row right after it and patches the prefix — and writes the
+//! block when the next row might not fit. A file's segments start at
+//! offsets fixed by the framed bytes metered for the segments before them
+//! (`spill_segments`), so they fill in parallel, with positioned writes
+//! through the file's one handle, and still lay down the bytes one sink
+//! pushing every row in order would (`spill_file`, the one-segment case).
+//! Each segment checks on close that it wrote exactly its metered rows and
+//! bytes. The shuffle's route writes each input's rows as one segment of
+//! every spilled bucket, in every store mode, and pre-sized fills place
+//! their partitions on the `peachy-par` pool, so the ones they spill
+//! encode in parallel.
 //!
 //! Spill and unspill traffic is metered through the `CommStats` block
 //! ([`CommStats::add_spill`] / [`CommStats::add_unspill`]), and every
@@ -87,6 +89,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use peachy_cluster::{ByteSized, CommStats};
 use peachy_par::prelude::*;
+
+use crate::dataset::take_rows;
 
 // ---------- the deterministic row encoding ----------
 
@@ -444,11 +448,6 @@ impl<T> PartitionStore<T> {
         self.cells.len()
     }
 
-    /// Has slot `idx` been filled (resident or spilled)?
-    pub fn is_filled(&self, idx: usize) -> bool {
-        self.cells[idx].get().is_some()
-    }
-
     /// Row count of slot `idx`, if filled — readable without touching disk.
     pub fn part_len(&self, idx: usize) -> Option<usize> {
         self.cells[idx].get().map(|slot| match slot {
@@ -472,10 +471,16 @@ impl<T> PartitionStore<T> {
         self.dir.get().map(PathBuf::as_path)
     }
 
+    /// Does a byte budget apply (may anything spill)?
+    pub(crate) fn budgeted(&self) -> bool {
+        self.cfg.budget.is_some()
+    }
+
     /// Does this store replay spilled partitions row by row? (Budgeted +
-    /// `stream` — the route/merge passes pick their strategy off this.)
-    pub fn streams(&self) -> bool {
-        self.cfg.budget.is_some() && self.cfg.stream
+    /// `stream` — the shuffle's route pass picks where its second pass
+    /// gets its rows off this.)
+    pub(crate) fn streams(&self) -> bool {
+        self.budgeted() && self.cfg.stream
     }
 
     /// Raise the peak-resident high-water mark for a materialization of
@@ -497,29 +502,23 @@ impl<T> PartitionStore<T> {
             Some(est) if est > budget => est,
             _ => 0,
         };
-        if spilled_parts == 0 && predicted_bytes == 0 {
-            Some(Residency::Mem { budget })
-        } else if self.cfg.stream {
-            Some(Residency::Stream {
-                budget,
-                spilled_parts,
-                spilled_bytes,
-                predicted_bytes,
-            })
+        Some(if spilled_parts == 0 && predicted_bytes == 0 {
+            Residency::Mem { budget }
         } else {
-            Some(Residency::Spill {
+            Residency::Disk {
                 budget,
                 spilled_parts,
                 spilled_bytes,
                 predicted_bytes,
-            })
-        }
+                streamed: self.cfg.stream,
+            }
+        })
     }
 
     /// Which partitions of a pre-sized batch must spill: greedy first-fit
     /// in index order over the exact byte sizes (a pure function of sizes
     /// and budget).
-    pub fn plan_presized(&self, sizes: &[u64]) -> Vec<bool> {
+    pub(crate) fn plan_presized(&self, sizes: &[u64]) -> Vec<bool> {
         let Some(budget) = self.cfg.budget else {
             return vec![false; sizes.len()];
         };
@@ -604,7 +603,7 @@ impl<T: SpillRow> PartitionStore<T> {
 
     /// Fill slot `idx` with resident rows (pre-sized holders that planned
     /// placement via [`PartitionStore::plan_presized`]).
-    pub fn fill_resident(&self, idx: usize, rows: Arc<Vec<T>>) {
+    pub(crate) fn fill_resident(&self, idx: usize, rows: Arc<Vec<T>>) {
         self.charge_peak(rows.approx_bytes() as u64);
         if self.cells[idx].set(Slot::Resident(rows)).is_err() {
             panic!("fill_resident: slot {idx} already filled");
@@ -633,6 +632,25 @@ impl<T: SpillRow> PartitionStore<T> {
     /// spilled: a fresh decode, charged as unspill traffic).
     pub fn load(&self, idx: usize) -> Option<Arc<Vec<T>>> {
         self.cells[idx].get().map(|slot| self.read_slot(slot))
+    }
+
+    /// Push slot `idx`'s rows into `emit`: replay the filled slot, or else
+    /// compute it, fill it ([`PartitionStore::get_or_init`]) and push the
+    /// rows — moved out where the slot spilled, one clone of the partition
+    /// where it stays resident.
+    pub(crate) fn replay_or_init(
+        &self,
+        idx: usize,
+        emit: &mut dyn FnMut(T),
+        compute: impl FnOnce() -> Arc<Vec<T>>,
+    ) where
+        T: Clone,
+    {
+        if !self.replay(idx, emit) {
+            take_rows(self.get_or_init(idx, compute))
+                .into_iter()
+                .for_each(emit);
+        }
     }
 
     /// Place a lazily computed partition: resident unless its size times
@@ -666,7 +684,7 @@ impl<T: SpillRow> PartitionStore<T> {
     /// fills the slot. The write-side dual of [`PartitionStore::replay`]:
     /// rows go to disk as a producer pushes them, never concatenated in
     /// RAM.
-    pub fn spill_file(&self, idx: usize, row_count: usize) -> SpillFile<'_, T> {
+    pub(crate) fn spill_file(&self, idx: usize, row_count: usize) -> SpillFile<'_, T> {
         self.open_spill(idx, row_count, vec![(HEADER_BYTES, row_count, None)])
     }
 
@@ -674,7 +692,7 @@ impl<T: SpillRow> PartitionStore<T> {
     /// is the row count and framed bytes ([`framed_len`]) that segment `i`
     /// will write, so every segment's offset is known before any row is,
     /// and the segments may fill in parallel.
-    pub fn spill_segments(&self, idx: usize, shares: &[(usize, u64)]) -> SpillFile<'_, T> {
+    pub(crate) fn spill_segments(&self, idx: usize, shares: &[(usize, u64)]) -> SpillFile<'_, T> {
         let mut offset = HEADER_BYTES;
         let segments = shares
             .iter()
@@ -729,34 +747,17 @@ impl<T: SpillRow> PartitionStore<T> {
         match slot {
             Slot::Resident(rows) => rows.iter().for_each(|row| emit(row.clone())),
             Slot::Spilled { .. } if !self.cfg.stream => {
-                // A fresh decode: the handle is unique, so rows move out.
-                let rows = self.read_slot(slot);
-                Arc::try_unwrap(rows)
-                    .unwrap_or_else(|arc| (*arc).clone())
-                    .into_iter()
-                    .for_each(emit);
+                take_rows(self.read_slot(slot)).into_iter().for_each(emit);
             }
             Slot::Spilled {
                 path,
                 encoded_bytes,
                 row_count,
-            } => {
-                if let Some(stats) = &self.cfg.stats {
-                    stats.add_unspill(*encoded_bytes);
-                }
-                let mut reader = BlockReader::open(path);
-                let header = u64::from_le_bytes(reader.take_array());
-                debug_assert_eq!(header as usize, *row_count, "spill header row count");
-                for _ in 0..*row_count {
-                    let len = u32::from_le_bytes(reader.take_array()) as usize;
-                    let mut r = SpillReader::new(reader.take(len));
-                    let row = T::spill_decode(&mut r);
-                    debug_assert_eq!(r.remaining(), 0, "spill row fully consumed");
-                    // Only this one decoded row is resident.
-                    self.charge_peak(row.approx_bytes() as u64);
-                    emit(row);
-                }
-            }
+            } => self.decode(path, *encoded_bytes, *row_count, |row| {
+                // Only this one decoded row is resident.
+                self.charge_peak(row.approx_bytes() as u64);
+                emit(row);
+            }),
         }
         true
     }
@@ -769,26 +770,31 @@ impl<T: SpillRow> PartitionStore<T> {
                 encoded_bytes,
                 row_count,
             } => {
-                let data = std::fs::read(path)
-                    .unwrap_or_else(|e| panic!("spill store: read {}: {e}", path.display()));
-                let mut reader = SpillReader::new(&data);
-                let count = u64::spill_decode(&mut reader) as usize;
-                debug_assert_eq!(count, *row_count, "spill header row count");
-                let mut rows = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let len = u32::from_le_bytes(reader.read_array()) as usize;
-                    let before = reader.remaining();
-                    rows.push(T::spill_decode(&mut reader));
-                    debug_assert_eq!(before - reader.remaining(), len, "row length prefix");
-                }
-                debug_assert_eq!(reader.remaining(), 0, "spill file fully consumed");
-                if let Some(stats) = &self.cfg.stats {
-                    stats.add_unspill(*encoded_bytes);
-                }
+                let mut rows = Vec::with_capacity(*row_count);
+                self.decode(path, *encoded_bytes, *row_count, |row| rows.push(row));
                 // The whole partition was just rebuilt in RAM.
                 self.charge_peak(rows.approx_bytes() as u64);
                 Arc::new(rows)
             }
+        }
+    }
+
+    /// Push a spilled slot's rows into `emit`, in order, decoding each
+    /// straight out of a [`BlockReader`]'s block, and charge the file as
+    /// unspill traffic. Every read of a spilled slot runs through here.
+    fn decode(&self, path: &Path, encoded_bytes: u64, row_count: usize, mut emit: impl FnMut(T)) {
+        if let Some(stats) = &self.cfg.stats {
+            stats.add_unspill(encoded_bytes);
+        }
+        let mut reader = BlockReader::open(path);
+        let header = u64::from_le_bytes(reader.take_array());
+        debug_assert_eq!(header as usize, row_count, "spill header row count");
+        for _ in 0..row_count {
+            let len = u32::from_le_bytes(reader.take_array()) as usize;
+            let mut r = SpillReader::new(reader.take(len));
+            let row = T::spill_decode(&mut r);
+            debug_assert_eq!(r.remaining(), 0, "spill row fully consumed");
+            emit(row);
         }
     }
 }
@@ -809,7 +815,7 @@ const PREFIX_BYTES: usize = 4;
 /// Bytes `row` takes in a spill file: its length prefix and its encoding
 /// (`scratch` is a reusable encode buffer). A writer meters these to lay
 /// out [`PartitionStore::spill_segments`].
-pub fn framed_len<T: SpillRow>(row: &T, scratch: &mut Vec<u8>) -> u64 {
+pub(crate) fn framed_len<T: SpillRow>(row: &T, scratch: &mut Vec<u8>) -> u64 {
     scratch.clear();
     row.spill_encode(scratch);
     (PREFIX_BYTES + scratch.len()) as u64
@@ -885,7 +891,7 @@ type Segment = (u64, usize, Option<u64>);
 /// segment 0's rows, segment 1's rows, and so on. Opened by
 /// [`PartitionStore::spill_file`] or [`PartitionStore::spill_segments`];
 /// [`SpillFile::finish`] fills the slot once every segment has closed.
-pub struct SpillFile<'s, T> {
+pub(crate) struct SpillFile<'s, T> {
     store: &'s PartitionStore<T>,
     idx: usize,
     path: PathBuf,
@@ -953,7 +959,7 @@ impl<T: SpillRow> SpillFile<'_, T> {
 /// right after it, and the prefix patched. The block goes to disk, with a
 /// positioned write at the segment's next offset, when a row as long as
 /// the last one might not fit, so rows of one size never regrow it.
-pub struct SpillSink<'f, T> {
+pub(crate) struct SpillSink<'f, T> {
     file: &'f SpillFile<'f, T>,
     seg: usize,
     block: Vec<u8>,
@@ -1054,9 +1060,8 @@ pub enum Residency {
         /// The resident byte budget the store stayed within.
         budget: u64,
     },
-    /// Some partitions live (or are predicted to live) on disk and are
-    /// rebuilt as whole `Vec`s on access (`StoreConfig::stream` cleared).
-    Spill {
+    /// Some partitions live (or are predicted to live) on disk.
+    Disk {
         /// The resident byte budget in force.
         budget: u64,
         /// Partitions spilled so far.
@@ -1066,20 +1071,11 @@ pub enum Residency {
         /// Estimated bytes that *will* spill where nothing has run yet
         /// (0 once real spills exist or the estimate fits the budget).
         predicted_bytes: u64,
-    },
-    /// Some partitions live (or are predicted to live) on disk and are
-    /// replayed row by row ([`PartitionStore::replay`]), so peak resident
-    /// memory stays bounded during consumption.
-    Stream {
-        /// The resident byte budget in force.
-        budget: u64,
-        /// Partitions spilled so far.
-        spilled_parts: usize,
-        /// Encoded bytes spilled so far.
-        spilled_bytes: u64,
-        /// Estimated bytes that *will* spill where nothing has run yet
-        /// (0 once real spills exist or the estimate fits the budget).
-        predicted_bytes: u64,
+        /// Spilled partitions replay row by row
+        /// ([`PartitionStore::replay`]), so peak resident memory stays
+        /// bounded during consumption; `false`, they are rebuilt as whole
+        /// `Vec`s on access (`StoreConfig::stream` cleared).
+        streamed: bool,
     },
 }
 
@@ -1155,7 +1151,7 @@ mod tests {
         );
         assert!(store.spill_dir().is_none(), "no budget, no directory");
         assert_eq!(store.part_len(0), Some(3));
-        assert!(!store.is_filled(1));
+        assert_eq!(store.part_len(1), None, "slot 1 never filled");
     }
 
     #[test]
@@ -1251,15 +1247,16 @@ mod tests {
         );
         assert_eq!(
             store.residency(Some(100)),
-            Some(Residency::Spill {
+            Some(Residency::Disk {
                 budget: 64,
                 spilled_parts: 0,
                 spilled_bytes: 0,
                 predicted_bytes: 100,
+                streamed: false,
             })
         );
         store.get_or_init(0, || Arc::new(vec![1u64; 32]));
-        let Some(Residency::Spill {
+        let Some(Residency::Disk {
             spilled_parts,
             spilled_bytes,
             ..
@@ -1278,8 +1275,9 @@ mod tests {
         assert!(
             matches!(
                 store.residency(None),
-                Some(Residency::Stream {
+                Some(Residency::Disk {
                     spilled_parts: 1,
+                    streamed: true,
                     ..
                 })
             ),
@@ -1290,8 +1288,9 @@ mod tests {
         assert!(
             matches!(
                 store.residency(None),
-                Some(Residency::Spill {
+                Some(Residency::Disk {
                     spilled_parts: 1,
+                    streamed: false,
                     ..
                 })
             ),
@@ -1476,6 +1475,7 @@ mod tests {
             let store = PartitionStore::new(1, stream_cfg(8));
             sink_rows(&store, 0, &rows);
             assert_eq!(replayed(&store, 0), rows, "pad {pad}");
+            assert_eq!(*store.load(0).unwrap(), rows, "pad {pad}");
         }
     }
 
@@ -1490,6 +1490,7 @@ mod tests {
         sink_rows(&store, 0, &rows);
         sink_rows(&store, 1, &[]);
         assert_eq!(replayed(&store, 0), rows);
+        assert_eq!(*store.load(0).unwrap(), rows);
         assert_eq!(store.spilled_parts(), 2, "the empty slot spilled too");
         assert_eq!(spill_file_bytes(&store, 1), 0u64.to_le_bytes());
         assert_eq!(replayed(&store, 1), Vec::<String>::new());

@@ -3,10 +3,12 @@
 //!
 //! [`OptimizerConfig::stream_spills`] swaps every rebuild-the-partition
 //! read for a row-by-row replay
-//! ([`peachy_dataflow::store::PartitionStore::replay`]) and every
-//! concatenate-then-encode spill for an incremental
-//! [`peachy_dataflow::store::SpillSink`]. The laws here pin the two sides
-//! of that trade on the same seeded random-DAG grid the spill laws use:
+//! ([`peachy_dataflow::store::PartitionStore::replay`]), and makes a
+//! shuffle's route pass push its inputs through the narrow chain a second
+//! time instead of keeping them in RAM between its passes; in both modes a
+//! spilled bucket is encoded row by row, one segment per input. The laws
+//! here pin the two sides of that trade on the same seeded random-DAG grid
+//! the spill laws use:
 //!
 //! * rows and non-spill counters are bit-identical to mem-mode (and to the
 //!   rebuild-on-access strawman) at every budget, on every executor, and
