@@ -4,6 +4,14 @@
 //! shuffle-backed operations of the §4 pipelines: per-key reduction,
 //! grouping, counting, and joins (inner and left-outer — the arrests ⋈
 //! population join of Figure 2 is a left join on NTA code).
+//!
+//! Every map a keyed post builds (combine, reduce, group, join, and the
+//! broadcast join's table) hashes through [`StableState`], one fixed-seed
+//! [`peachy_prng::StableHash64`]. A post's output order is therefore a
+//! pure function of the rows pushed into it, and fusion, elision,
+//! spilling and the executors never reorder those, so a wide plan yields
+//! the same rows in the same order on every run, every backend and every
+//! budget — and writes the same spill bytes.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -12,6 +20,7 @@ use std::sync::Arc;
 
 use peachy_cluster::dist::ROUTE_SEED;
 use peachy_cluster::{ByteSized, Executor};
+use peachy_prng::StableState;
 
 use crate::dataset::{Dataset, Op};
 use crate::optimize::PlanReport;
@@ -234,7 +243,7 @@ where
         let partitions = self.inner.num_partitions();
         KeyedDataset {
             inner: self.shuffle_with("GroupByKey", partitions, |bucket| {
-                let mut groups: HashMap<K, Vec<V>> = HashMap::new();
+                let mut groups: PostMap<K, Vec<V>> = PostMap::default();
                 bucket(&mut |(k, v)| groups.entry(k).or_default().push(v));
                 groups.into_iter().collect::<Vec<(K, Vec<V>)>>()
             }),
@@ -369,12 +378,12 @@ where
     where
         W: Clone + Send + Sync + SpillRow + 'static,
     {
-        let table: std::sync::Arc<HashMap<K, Vec<W>>> = {
-            let mut m: HashMap<K, Vec<W>> = HashMap::new();
+        let table: Arc<PostMap<K, Vec<W>>> = {
+            let mut m: PostMap<K, Vec<W>> = PostMap::default();
             for (k, w) in other.inner.collect() {
                 m.entry(k).or_default().push(w);
             }
-            std::sync::Arc::new(m)
+            Arc::new(m)
         };
         let inner = self.inner.flat_map(move |(k, v)| {
             let matches: Vec<(K, (V, W))> = match table.get(&k) {
@@ -509,12 +518,15 @@ impl<L: SpillRow, R: SpillRow> SpillRow for Either<L, R> {
     }
 }
 
+/// The map every keyed post groups its rows in.
+type PostMap<K, V> = HashMap<K, V, StableState>;
+
 /// Fold the `(K, V)` rows that `rows` pushes into its sink into one
 /// accumulator per key, with one hash probe per row: a key's first value
 /// seeds its accumulator through `first`, and each later value folds in
 /// through `fold`. Every map-side combine and reduce-side merge of
 /// `reduce_by_key` and `aggregate_by_key` runs through it. Output order is
-/// the hash map's, as it always was.
+/// the [`StableState`] map's, a pure function of the pushed rows.
 fn fold_keyed<K: Hash + Eq, V, A>(
     rows: impl FnOnce(&mut dyn FnMut((K, V))),
     first: impl Fn(V) -> A,
@@ -522,7 +534,7 @@ fn fold_keyed<K: Hash + Eq, V, A>(
 ) -> Vec<(K, A)> {
     // The accumulator is moved out to fold and moved back in place, so the
     // probe that found the entry is the only one.
-    let mut accs: HashMap<K, Option<A>> = HashMap::new();
+    let mut accs: PostMap<K, Option<A>> = PostMap::default();
     rows(&mut |(k, v)| match accs.entry(k) {
         Entry::Occupied(mut slot) => {
             let acc = slot
@@ -604,7 +616,7 @@ struct JoinBucket<K, V, W> {
 
 impl<K: Hash + Eq, V, W> JoinBucket<K, V, W> {
     fn new(bucket: impl FnOnce(&mut dyn FnMut((K, Either<V, W>)))) -> Self {
-        let mut ids: HashMap<K, u32> = HashMap::new();
+        let mut ids: PostMap<K, u32> = PostMap::default();
         let mut has_left: Vec<bool> = Vec::new();
         let mut left_keys = Vec::new();
         let mut left = Vec::new();
@@ -1093,6 +1105,29 @@ mod tests {
                 left_join_bucket(|emit| bucket.iter().cloned().for_each(emit)),
                 outer,
                 "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn post_hasher_spreads_one_buckets_keys_over_its_low_bits() {
+        // Every key routed to bucket 3 of 8 shares its routing hash's low
+        // 3 bits, so a post map seeded like the route would index that
+        // bucket's keys by bits that never vary. The post hasher must not.
+        use std::hash::BuildHasher;
+        let keys: Vec<u64> = (0..80_000u64)
+            .filter(|k| crate::shuffle::partition_of(k, 8) == 3)
+            .collect();
+        let mut residues = [0usize; 8];
+        for k in &keys {
+            residues[(StableState.hash_one(k) & 7) as usize] += 1;
+        }
+        let even = keys.len() as f64 / 8.0;
+        for (r, &n) in residues.iter().enumerate() {
+            assert!(
+                (n as f64 - even).abs() <= 0.2 * even,
+                "residue {r}: {n} of {} keys, {residues:?}",
+                keys.len()
             );
         }
     }

@@ -21,9 +21,9 @@
 //!    already run, `rows × size_of::<Row>()` otherwise).
 //!
 //! The contract: every rewrite is *semantically invisible* — optimized
-//! plans produce bit-identical rows to naive plans (exact order for narrow
-//! pipelines; up to the engine's existing per-partition grouping
-//! nondeterminism for keyed posts, which hash-map group in both modes).
+//! plans produce bit-identical rows to naive plans, in the same order,
+//! keyed posts included (they group through one fixed-seed hasher, so
+//! their order depends only on their input rows).
 //! `tests/optimizer_equivalence.rs` pins this over randomly generated DAGs
 //! on every executor backend.
 //!

@@ -5,10 +5,12 @@
 //! *invisible* in the results. For every seed in the grid this suite
 //! builds the same pipeline twice — once under [`OptimizerConfig::default`]
 //! (all rewrites on) and once under [`OptimizerConfig::naive`] (all off) —
-//! and demands identical output: exact row order for narrow-only plans,
-//! multiset equality once a shuffle's hash-map grouping is involved. The
-//! law is then re-checked across the Seq / Rayon / Cluster executors and
-//! under benign transport chaos (duplicates, reordering, delay).
+//! and demands identical output, row for row. That holds for wide plans
+//! too: every shuffle post groups through one fixed-seed hasher, so its
+//! output order is a pure function of the rows pushed into it, and no
+//! rewrite reorders those. The law is then re-checked across the Seq /
+//! Rayon / Cluster executors and under benign transport chaos
+//! (duplicates, reordering, delay).
 //!
 //! The base seed is `0xC0FFEE_5EED`, overridable via `OPTIMIZER_LAWS_SEED`
 //! so CI can roll a fresh grid per run while logging the seed for replay.
@@ -32,8 +34,7 @@ fn base_seed() -> u64 {
 /// usually followed by a chain of wide (shuffle-backed) ops. Both builds
 /// of a seed draw the same random choices, so the only difference between
 /// the two pipelines is `cfg`. Returns the final dataset plus whether any
-/// shuffle is involved (wide plans compare as multisets: the reduce-side
-/// hash grouping makes row order nondeterministic even run-to-run).
+/// shuffle is involved.
 fn build(seed: u64, cfg: OptimizerConfig) -> (Dataset<(u64, u64)>, bool) {
     let mut rng = Lcg64::seed_from(seed);
     let rows = 50 + (rng.next_u64() % 350) as usize;
@@ -97,21 +98,6 @@ fn canon(mut rows: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     rows
 }
 
-fn assert_same(seed: u64, wide: bool, optimized: Vec<(u64, u64)>, naive: Vec<(u64, u64)>) {
-    if wide {
-        assert_eq!(
-            canon(optimized),
-            canon(naive),
-            "seed {seed}: optimized multiset diverged from naive"
-        );
-    } else {
-        assert_eq!(
-            optimized, naive,
-            "seed {seed}: optimized rows or row order diverged from naive"
-        );
-    }
-}
-
 #[test]
 fn optimized_plans_match_naive_across_seed_grid() {
     let base = base_seed();
@@ -121,7 +107,11 @@ fn optimized_plans_match_naive_across_seed_grid() {
         let (opt_ds, wide) = build(seed, OptimizerConfig::default());
         let (naive_ds, naive_wide) = build(seed, OptimizerConfig::naive());
         assert_eq!(wide, naive_wide, "builder must be deterministic in seed");
-        assert_same(seed, wide, opt_ds.collect(), naive_ds.collect());
+        assert_eq!(
+            opt_ds.collect(),
+            naive_ds.collect(),
+            "seed {seed}: optimized rows or row order diverged from naive"
+        );
         assert_eq!(opt_ds.count(), naive_ds.count(), "seed {seed}: count");
 
         // The explain report is advisory, but its cost model must never
@@ -140,18 +130,14 @@ fn optimized_results_agree_on_every_backend() {
     for i in 0..8 {
         let seed = base.wrapping_add(i).wrapping_mul(0x2545_F491_4F6C_DD1D);
         let (naive_ds, wide) = build(seed, OptimizerConfig::naive());
-        let reference = canon(naive_ds.collect());
+        let reference = naive_ds.collect();
         for exec in [Executor::seq(), Executor::rayon(3), Executor::cluster(4)] {
             for cfg in [OptimizerConfig::default(), OptimizerConfig::naive()] {
                 let (ds, w) = build(seed, cfg);
                 assert_eq!(w, wide);
+                // collect_with must preserve the exact serial order.
                 let got = ds.collect_with(&exec);
-                if wide {
-                    assert_eq!(canon(got), reference, "seed {seed} on {exec:?}");
-                } else {
-                    // collect_with must preserve the exact serial order too.
-                    assert_eq!(got, naive_ds.collect(), "seed {seed} on {exec:?}");
-                }
+                assert_eq!(got, reference, "seed {seed} on {exec:?}");
                 assert_eq!(ds.count_with(&exec), reference.len(), "seed {seed} count");
             }
         }
@@ -171,15 +157,12 @@ fn benign_chaos_does_not_change_results() {
         });
         let chaotic = Executor::Cluster { ranks: 4, plan };
         let (naive_ds, wide) = build(seed, OptimizerConfig::naive());
-        let reference = canon(naive_ds.collect());
+        let reference = naive_ds.collect();
         for cfg in [OptimizerConfig::default(), OptimizerConfig::naive()] {
-            let (ds, _) = build(seed, cfg);
+            let (ds, w) = build(seed, cfg);
+            assert_eq!(w, wide);
             let got = ds.collect_with(&chaotic);
-            if wide {
-                assert_eq!(canon(got), reference, "seed {seed} under chaos");
-            } else {
-                assert_eq!(got, naive_ds.collect(), "seed {seed} under chaos");
-            }
+            assert_eq!(got, reference, "seed {seed} under chaos");
         }
     }
 }
@@ -198,7 +181,7 @@ fn repartition_between_aggregations_blocks_elision() {
                 .count_by_key();
         let rebalanced =
             KeyedDataset::from_dataset(first.rows().repartition(6)).with_stats(Arc::clone(&stats));
-        let out = canon(rebalanced.reduce_by_key(|a, b| a + b).collect());
+        let out = rebalanced.reduce_by_key(|a, b| a + b).collect();
         (out, stats.shuffles(), stats.shuffles_elided())
     };
     let (optimized, shuffles, elided) = run(OptimizerConfig::default());
@@ -213,7 +196,7 @@ fn repartition_between_aggregations_blocks_elision() {
     let expected: Vec<(u64, u64)> = (0..13)
         .map(|k| (k, if k < 400 % 13 { 31 } else { 30 }))
         .collect();
-    assert_eq!(optimized, expected);
+    assert_eq!(canon(optimized), expected);
 }
 
 /// Regression for the double-compute bug: a subtree consumed by several
@@ -263,9 +246,9 @@ fn shuffle_memoization_survives_repeated_actions() {
             x
         });
     let reduced = ds.key_by(|x| x % 9).reduce_by_key(|a, b| a + b);
-    let first = canon(reduced.collect());
+    let first = reduced.collect();
     let n = reduced.count();
-    let second = canon(reduced.collect());
+    let second = reduced.collect();
     assert_eq!(first, second);
     assert_eq!(n, 9);
     assert_eq!(

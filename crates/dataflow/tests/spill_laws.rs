@@ -2,12 +2,15 @@
 //!
 //! The storage seam's hard contract: running the same job under any
 //! [`OptimizerConfig::spill_budget`] — unlimited, tight, or a pathological
-//! 1 KiB that spills nearly everything — must produce bit-identical rows
-//! and identical non-spill [`ShuffleStats`] counters, on every executor
-//! and under benign transport chaos. The spill decision itself is a pure
-//! function of (data, budget, config): the fair-share rule reads only a
-//! partition's own size, and the pre-sized shuffle plan is greedy in
-//! bucket-index order, so no rayon schedule can change what hits disk.
+//! 1 KiB that spills nearly everything — must produce bit-identical rows,
+//! in the same order, and identical non-spill [`ShuffleStats`] counters,
+//! on every executor and under benign transport chaos. The spill decision
+//! itself is a pure function of (data, budget, config): the fair-share
+//! rule reads only a partition's own size, and the pre-sized shuffle plan
+//! is greedy in bucket-index order, so no rayon schedule can change what
+//! hits disk. What is written is fixed too: every shuffle post groups
+//! through one fixed-seed hasher, so its output order — and every spill
+//! file downstream of it — is a pure function of its input rows.
 //!
 //! The seed grid mirrors the E18 optimizer-equivalence suite; CI rolls a
 //! fresh grid per run via `PEACHY_CHAOS_SEED` while logging it for replay.
@@ -18,7 +21,7 @@ use std::time::Duration;
 
 use peachy_cluster::{EdgeFault, Executor, FaultPlan};
 use peachy_dataflow::{
-    Dataset, OptimizerConfig, PartitionStore, RetryPolicy, ShuffleStats, StoreConfig,
+    Dataset, KeyedDataset, OptimizerConfig, PartitionStore, RetryPolicy, ShuffleStats, StoreConfig,
 };
 use peachy_prng::{Lcg64, RandomStream};
 
@@ -103,11 +106,6 @@ fn build(seed: u64, cfg: OptimizerConfig) -> (Dataset<(u64, u64)>, bool, Arc<Shu
     (keyed.rows(), true, stats)
 }
 
-fn canon(mut rows: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    rows.sort_unstable();
-    rows
-}
-
 /// The counters a budget must NOT move: everything except the spill
 /// traffic itself.
 fn non_spill_counters(stats: &ShuffleStats) -> (u64, u64, u64, u64) {
@@ -136,18 +134,10 @@ fn results_are_bit_identical_across_budgets() {
             let (ds, w, stats) = build(seed, cfg_with(budget));
             assert_eq!(w, wide, "builder must be deterministic in seed");
             let got = ds.collect();
-            if wide {
-                assert_eq!(
-                    canon(got),
-                    canon(reference.clone()),
-                    "seed {seed} at budget {budget:?}: multiset diverged"
-                );
-            } else {
-                assert_eq!(
-                    got, reference,
-                    "seed {seed} at budget {budget:?}: rows or order diverged"
-                );
-            }
+            assert_eq!(
+                got, reference,
+                "seed {seed} at budget {budget:?}: rows or order diverged"
+            );
             assert_eq!(
                 non_spill_counters(&stats),
                 non_spill_counters(&ref_stats),
@@ -162,25 +152,13 @@ fn budgets_hold_on_every_executor() {
     let base = base_seed() ^ 0xBAC0;
     for i in 0..4 {
         let seed = base.wrapping_add(i).wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let (ref_ds, wide, _) = build(seed, cfg_with(None));
-        let reference = canon(ref_ds.collect());
+        let (ref_ds, _, _) = build(seed, cfg_with(None));
+        let reference = ref_ds.collect();
         for exec in [Executor::seq(), Executor::rayon(3), Executor::cluster(4)] {
             for budget in BUDGETS {
                 let (ds, _, _) = build(seed, cfg_with(budget));
                 let got = ds.collect_with(&exec);
-                if wide {
-                    assert_eq!(
-                        canon(got),
-                        reference,
-                        "seed {seed} at {budget:?} on {exec:?}"
-                    );
-                } else {
-                    assert_eq!(
-                        got,
-                        ref_ds.collect(),
-                        "seed {seed} at {budget:?} on {exec:?}"
-                    );
-                }
+                assert_eq!(got, reference, "seed {seed} at {budget:?} on {exec:?}");
             }
         }
     }
@@ -198,24 +176,12 @@ fn budgets_hold_under_benign_chaos() {
             delay: Duration::from_micros(50),
         });
         let chaotic = Executor::Cluster { ranks: 4, plan };
-        let (ref_ds, wide, _) = build(seed, cfg_with(None));
-        let reference = canon(ref_ds.collect());
+        let (ref_ds, _, _) = build(seed, cfg_with(None));
+        let reference = ref_ds.collect();
         for budget in [BUDGETS[1], BUDGETS[2]] {
             let (ds, _, _) = build(seed, cfg_with(budget));
             let got = ds.collect_with(&chaotic);
-            if wide {
-                assert_eq!(
-                    canon(got),
-                    reference,
-                    "seed {seed} at {budget:?} under chaos"
-                );
-            } else {
-                assert_eq!(
-                    got,
-                    ref_ds.collect(),
-                    "seed {seed} at {budget:?} under chaos"
-                );
-            }
+            assert_eq!(got, reference, "seed {seed} at {budget:?} under chaos");
         }
     }
 }
@@ -244,17 +210,83 @@ fn spill_trace_is_deterministic() {
     }
 }
 
+/// Same keyed job, same budget, twice in one process: every spill file it
+/// writes holds the same bytes. The reduce, group and join posts all group
+/// through hash maps, so this pins that their output order — which the
+/// shuffles downstream of them route and spill — never varies by run.
+#[test]
+fn keyed_posts_write_identical_spill_files() {
+    // Every row of this job carries the mark, so its spill files can be
+    // told from those of the tests running beside it in this process.
+    const MARK: &str = "spill-bytes-law";
+    let root = spill_root();
+    let run = || {
+        let before = store_dirs(&root);
+        let stats = ShuffleStats::new();
+        let keyed = |rows: Vec<(u64, String)>| {
+            KeyedDataset::from_dataset(Dataset::from_vec_with(rows, 4, cfg_with(Some(4 * 1024))))
+                .with_stats(Arc::clone(&stats))
+        };
+        let facts = keyed(
+            (0..3_000u64)
+                .map(|i| (i % 251, format!("{MARK}-{}", i % 37)))
+                .collect(),
+        );
+        let longest = facts.reduce_by_key(|a, b| if b.len() > a.len() { b } else { a });
+        let groups = facts.group_by_key().map_values(|vs| vs.concat());
+        let joined = longest.join(&groups).rows();
+        let regrouped = KeyedDataset::from_dataset(joined.map(|(k, (a, b))| (k % 7, a + &b)))
+            .with_stats(Arc::clone(&stats))
+            .group_by_key();
+        let rows = regrouped.collect();
+        let mut files: Vec<(String, Vec<u8>)> = Vec::new();
+        for dir in store_dirs(&root).difference(&before) {
+            let Ok(entries) = std::fs::read_dir(root.join(dir)) else {
+                continue;
+            };
+            for entry in entries.flatten() {
+                let Ok(bytes) = std::fs::read(entry.path()) else {
+                    continue;
+                };
+                if bytes.windows(MARK.len()).any(|w| w == MARK.as_bytes()) {
+                    files.push((entry.file_name().to_string_lossy().into_owned(), bytes));
+                }
+            }
+        }
+        files.sort();
+        (files, stats.spills(), stats.spill_bytes(), rows)
+    };
+    let (first, second) = (run(), run());
+    assert!(first.1 > 0, "a 4 KiB budget must spill this job");
+    assert!(!first.0.is_empty(), "the job's spill files must be found");
+    assert_eq!(first.0.len(), second.0.len(), "spill file count");
+    assert!(
+        first.0 == second.0,
+        "every spill file must hold the same bytes"
+    );
+    assert_eq!(first.1, second.1, "spills");
+    assert_eq!(first.2, second.2, "spill_bytes");
+    assert_eq!(first.3, second.3, "rows");
+}
+
+/// The parent of every spill store directory of this process.
+fn spill_root() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("peachy-spill-{}", std::process::id()))
+}
+
+/// The store directories currently under `root`.
+fn store_dirs(root: &std::path::Path) -> std::collections::HashSet<std::ffi::OsString> {
+    std::fs::read_dir(root)
+        .map(|d| d.flatten().map(|e| e.file_name()).collect())
+        .unwrap_or_default()
+}
+
 /// An over-budget wordcount demonstrably spills, and every temp file is
 /// gone once the lineage is dropped.
 #[test]
 fn over_budget_job_spills_and_cleans_up() {
-    let spill_root = std::env::temp_dir().join(format!("peachy-spill-{}", std::process::id()));
-    let dirs = |root: &std::path::Path| -> std::collections::HashSet<std::ffi::OsString> {
-        std::fs::read_dir(root)
-            .map(|d| d.flatten().map(|e| e.file_name()).collect())
-            .unwrap_or_default()
-    };
-    let before = dirs(&spill_root);
+    let root = spill_root();
+    let before = store_dirs(&root);
 
     let lines: Vec<String> = (0..2_000)
         .map(|i| format!("word{} word{} common", i % 50, i % 13))
@@ -289,7 +321,7 @@ fn over_budget_job_spills_and_cleans_up() {
             stats.unspill_bytes() > 0,
             "spilled buckets must have been streamed back"
         );
-        let during: Vec<_> = dirs(&spill_root).difference(&before).cloned().collect();
+        let during: Vec<_> = store_dirs(&root).difference(&before).cloned().collect();
         assert!(!during.is_empty(), "spilling must create store directories");
         (stats, during)
     };
@@ -298,7 +330,7 @@ fn over_budget_job_spills_and_cleans_up() {
     // tests of this binary share the per-process root and may race their
     // own short-lived directories into `during`, so poll briefly.
     let gone = |during: &[std::ffi::OsString]| {
-        let now = dirs(&spill_root);
+        let now = store_dirs(&root);
         during.iter().all(|d| !now.contains(d))
     };
     for _ in 0..100 {

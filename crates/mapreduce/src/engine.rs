@@ -1,10 +1,12 @@
 //! The MapReduce engine: map, combine, collate (shuffle), reduce, gather.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use peachy_cluster::dist::ROUTE_SEED;
 use peachy_cluster::{ByteSized, Comm};
+use peachy_prng::StableState;
 
 /// Balanced block distribution of `n` items over `size` ranks: rank `r`
 /// owns a contiguous range, sizes differing by at most one. Re-exported
@@ -49,25 +51,31 @@ impl<K: Hash + Eq, V> Kv<K, V> {
     /// key with `f` before the shuffle, cutting communication volume.
     ///
     /// This is the two-level optimization of §2: the cross-rank shuffle then
-    /// carries one pair per (rank, key) instead of one per emission.
+    /// carries one pair per (rank, key) instead of one per emission. The
+    /// merged pairs come out in an order fixed by the input pairs.
     pub fn combine<F>(self, f: F) -> Kv<K, V>
     where
         F: Fn(V, V) -> V,
     {
-        let mut merged: HashMap<K, V> = HashMap::new();
+        // One probe per pair: the merged value is moved out of its slot to
+        // fold and moved back in place.
+        let mut merged: HashMap<K, Option<V>, StableState> = HashMap::default();
         for (k, v) in self.pairs {
-            match merged.remove(&k) {
-                Some(prev) => {
-                    let combined = f(prev, v);
-                    merged.insert(k, combined);
+            match merged.entry(k) {
+                Entry::Occupied(mut slot) => {
+                    let prev = slot.get_mut().take().expect("every key holds a value");
+                    *slot.get_mut() = Some(f(prev, v));
                 }
-                None => {
-                    merged.insert(k, v);
+                Entry::Vacant(slot) => {
+                    slot.insert(Some(v));
                 }
             }
         }
         Kv {
-            pairs: merged.into_iter().collect(),
+            pairs: merged
+                .into_iter()
+                .map(|(k, v)| (k, v.expect("every key holds a value")))
+                .collect(),
         }
     }
 }
@@ -182,8 +190,8 @@ impl<'c> MapReduce<'c> {
         }
         // One all-to-all exchange carries everything.
         let received = self.comm.alltoall(buckets);
-        // Group by key.
-        let mut groups: HashMap<K, Vec<V>> = HashMap::new();
+        // Group by key, in an order fixed by the received pairs.
+        let mut groups: HashMap<K, Vec<V>, StableState> = HashMap::default();
         for bucket in received {
             for (k, v) in bucket {
                 groups.entry(k).or_default().push(v);

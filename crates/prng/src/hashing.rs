@@ -12,8 +12,12 @@
 //! Multi-byte integer writes are absorbed as little-endian words and
 //! `usize`/`isize` are widened to 64 bits, so the same key hashes the same
 //! on every platform.
+//!
+//! [`StableState`] is the [`BuildHasher`] counterpart, std's `RandomState`
+//! without the randomness: a `HashMap<K, V, StableState>` iterates in an
+//! order that is a pure function of its insert sequence.
 
-use std::hash::Hasher;
+use std::hash::{BuildHasher, Hasher};
 
 use crate::splitmix::SplitMix64;
 
@@ -79,11 +83,17 @@ impl Hasher for StableHash64 {
         SplitMix64::mix(self.state)
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.absorb(u64::from_le_bytes(buf));
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.absorb(u64::from_le_bytes(
+                word.try_into().expect("an 8-byte chunk"),
+            ));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            self.absorb(tail_word(tail));
         }
         self.absorb(bytes.len() as u64 ^ LEN_TAG);
     }
@@ -115,6 +125,60 @@ impl Hasher for StableHash64 {
     #[inline]
     fn write_usize(&mut self, v: usize) {
         self.absorb(v as u64);
+    }
+}
+
+/// Seed of every [`StableState`] hasher. It must not be the routing seed
+/// (`peachy_cluster::dist::ROUTE_SEED`): every key a shuffle routes to
+/// bucket `p` of `n` has a routing hash ≡ `p` (mod `n`), so a map over one
+/// bucket hashed under that seed would index by low bits that never vary.
+const STATE_SEED: u64 = 0x57ab_1e5e_ed00_0001;
+
+/// A [`BuildHasher`] of [`StableHash64`]s under one fixed seed, with
+/// nothing to configure: std's `RandomState`, minus the per-instance
+/// random keys. Maps built on it iterate in the same order on every run,
+/// at the price of HashDoS resistance (the seed is public). An integer
+/// key hashes in two mixes, well under std's SipHash; a string takes one
+/// mix per 8-byte word plus three, in series, so a loop that waits on
+/// each short string's hash can run slower than under SipHash.
+///
+/// ```
+/// use std::collections::HashMap;
+/// use peachy_prng::StableState;
+///
+/// let build = |n: u64| -> Vec<u64> {
+///     let mut m: HashMap<u64, u64, StableState> = HashMap::default();
+///     m.extend((0..n).map(|k| (k, k * k)));
+///     m.into_keys().collect()
+/// };
+/// assert_eq!(build(1_000), build(1_000)); // same inserts, same order
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StableState;
+
+impl BuildHasher for StableState {
+    type Hasher = StableHash64;
+
+    #[inline]
+    fn build_hasher(&self) -> StableHash64 {
+        StableHash64::seeded(STATE_SEED)
+    }
+}
+
+/// The 1–7 bytes of `tail` as one zero-padded little-endian word, read
+/// with two overlapping loads (their shared bytes land on the same bits),
+/// so a short string costs no `memcpy` call.
+#[inline]
+fn tail_word(tail: &[u8]) -> u64 {
+    let n = tail.len();
+    let le32 = |at: usize| u64::from(u32::from_le_bytes(tail[at..at + 4].try_into().unwrap()));
+    let le16 = |at: usize| u64::from(u16::from_le_bytes(tail[at..at + 2].try_into().unwrap()));
+    if n >= 4 {
+        le32(0) | le32(n - 4) << (8 * (n - 4))
+    } else if n >= 2 {
+        le16(0) | le16(n - 2) << (8 * (n - 2))
+    } else {
+        u64::from(tail[0])
     }
 }
 
@@ -178,6 +242,56 @@ mod tests {
         let mut h2 = StableHash64::seeded(3);
         h2.write_u64(77);
         assert_eq!(h1.finish(), h2.finish());
+    }
+
+    #[test]
+    fn write_absorbs_zero_padded_words_then_the_length() {
+        // The definition `write` implements, for every tail length.
+        let reference = |bytes: &[u8]| {
+            let mut h = StableHash64::seeded(5);
+            for chunk in bytes.chunks(8) {
+                let mut buf = [0u8; 8];
+                buf[..chunk.len()].copy_from_slice(chunk);
+                h.write_u64(u64::from_le_bytes(buf));
+            }
+            h.write_u64(bytes.len() as u64 ^ LEN_TAG);
+            h.finish()
+        };
+        let bytes: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(151) ^ 0xa5).collect();
+        for len in 0..=bytes.len() {
+            let mut h = StableHash64::seeded(5);
+            h.write(&bytes[..len]);
+            assert_eq!(h.finish(), reference(&bytes[..len]), "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn placement_is_pinned() {
+        // Routing and spill bytes depend on these; a change is a format
+        // change, not a refactor.
+        assert_eq!(stable_hash("", 42), 0xb5f1_090a_94dc_8ee4);
+        assert_eq!(stable_hash("peachy", 42), 0x65c8_c71a_de84_9b6a);
+        assert_eq!(
+            stable_hash("key-0123456789abcdef", 42),
+            0x21f0_6b88_0a08_bcac
+        );
+        assert_eq!(stable_hash(&123_456_789u64, 42), 0x27b4_09d3_fc61_7500);
+    }
+
+    #[test]
+    fn stable_states_build_equal_hashers() {
+        // Two maps built apart (two processes, two runs) must agree.
+        let (a, b) = (StableState, StableState);
+        for key in ["", "a", "peachy-parallel"] {
+            let (mut ha, mut hb) = (a.build_hasher(), b.build_hasher());
+            key.hash(&mut ha);
+            key.hash(&mut hb);
+            assert_eq!(ha.finish(), hb.finish(), "{key:?}");
+            assert_eq!(a.hash_one(key), stable_hash(key, STATE_SEED));
+        }
+        for key in 0..1_000u64 {
+            assert_eq!(a.hash_one(key), b.hash_one(key), "{key}");
+        }
     }
 
     #[test]

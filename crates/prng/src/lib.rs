@@ -32,7 +32,9 @@
 //!   and a failing case reports the seed that replays it.
 //! * [`hashing`] — [`StableHash64`], a seeded version-stable hasher built
 //!   on the SplitMix64 finalizer, used wherever hash *placement* must be
-//!   reproducible across Rust releases (shuffle routing, key → rank maps).
+//!   reproducible across Rust releases (shuffle routing, key → rank maps),
+//!   and [`StableState`], its fixed-seed `BuildHasher` for hash maps whose
+//!   iteration order must not change from run to run.
 //!
 //! ## Quick example: chunked reproducibility
 //!
@@ -68,7 +70,7 @@ pub mod stream;
 pub mod xorshift;
 
 pub use dist::{Bernoulli, Normal, UniformF64, UniformU64};
-pub use hashing::{stable_hash, StableHash64};
+pub use hashing::{stable_hash, StableHash64, StableState};
 pub use lcg::{Lcg31, Lcg64};
 pub use philox::Philox;
 pub use splitmix::SplitMix64;

@@ -655,6 +655,30 @@ mod tests {
     }
 
     #[test]
+    fn limit_without_sort_keeps_the_same_rows_on_every_run_and_backend() {
+        // No sort: `limit` keeps the first rows the sum's shuffle post
+        // emits, so that order must be fixed by the rows alone.
+        let mut text = String::from(
+            "[scenario]\nname = t\n[run]\npartitions = 4\n\
+             [source.rows]\nkind = inline\ncolumns = \"k, v\"\n",
+        );
+        for i in 0..400 {
+            text += &format!("row = \"k{}, {i}\"\n", i % 97);
+        }
+        text += "[stage.sums]\ninput = rows\nop = sum\nkey = k\ncol = v\n\
+                 [sink]\nfrom = sums\nlimit = 10\n";
+        let runner = Runner::from_str(&text).unwrap();
+        let seq = runner.run(&RunOptions::default()).unwrap();
+        assert_eq!(seq.rows.len(), 10);
+        let again = runner.run(&RunOptions::default()).unwrap();
+        assert_eq!(again.rows, seq.rows, "second Seq run");
+        for exec in [Executor::rayon(2), Executor::cluster(3)] {
+            let other = runner.run(&RunOptions::on(exec.clone())).unwrap();
+            assert_eq!(other.rows, seq.rows, "{exec:?}");
+        }
+    }
+
+    #[test]
     fn explain_is_attached_on_request() {
         let text = "\
 [scenario]\nname = t\n[report]\nexplain = true\n\
