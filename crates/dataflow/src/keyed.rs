@@ -7,11 +7,13 @@
 //!
 //! Every map a keyed post builds (combine, reduce, group, join, and the
 //! broadcast join's table) hashes through [`StableState`], one fixed-seed
-//! [`peachy_prng::StableHash64`]. A post's output order is therefore a
-//! pure function of the rows pushed into it, and fusion, elision,
-//! spilling and the executors never reorder those, so a wide plan yields
-//! the same rows in the same order on every run, every backend and every
-//! budget — and writes the same spill bytes.
+//! [`peachy_prng::StableHash64`]. Within one build of the program, a
+//! post's output order is therefore a pure function of the rows pushed
+//! into it, and fusion, elision, spilling and the executors never reorder
+//! those, so a wide plan yields the same rows in the same order on every
+//! run, every backend and every budget — and writes the same spill bytes.
+//! That order is std `HashMap`'s iteration order, which std does not pin
+//! across Rust releases or targets, so it is not a cross-build format.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -526,7 +528,8 @@ type PostMap<K, V> = HashMap<K, V, StableState>;
 /// seeds its accumulator through `first`, and each later value folds in
 /// through `fold`. Every map-side combine and reduce-side merge of
 /// `reduce_by_key` and `aggregate_by_key` runs through it. Output order is
-/// the [`StableState`] map's, a pure function of the pushed rows.
+/// the [`StableState`] map's: for one build, a pure function of the pushed
+/// rows.
 fn fold_keyed<K: Hash + Eq, V, A>(
     rows: impl FnOnce(&mut dyn FnMut((K, V))),
     first: impl Fn(V) -> A,
@@ -1120,7 +1123,7 @@ mod tests {
             .collect();
         let mut residues = [0usize; 8];
         for k in &keys {
-            residues[(StableState.hash_one(k) & 7) as usize] += 1;
+            residues[(StableState::default().hash_one(k) & 7) as usize] += 1;
         }
         let even = keys.len() as f64 / 8.0;
         for (r, &n) in residues.iter().enumerate() {

@@ -9,8 +9,9 @@
 //! rule reads only a partition's own size, and the pre-sized shuffle plan
 //! is greedy in bucket-index order, so no rayon schedule can change what
 //! hits disk. What is written is fixed too: every shuffle post groups
-//! through one fixed-seed hasher, so its output order — and every spill
-//! file downstream of it — is a pure function of its input rows.
+//! through one fixed-seed hasher, so within one build its output order —
+//! and every spill file downstream of it — is a pure function of its
+//! input rows.
 //!
 //! The seed grid mirrors the E18 optimizer-equivalence suite; CI rolls a
 //! fresh grid per run via `PEACHY_CHAOS_SEED` while logging it for replay.

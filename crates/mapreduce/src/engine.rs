@@ -6,7 +6,6 @@ use std::hash::Hash;
 
 use peachy_cluster::dist::ROUTE_SEED;
 use peachy_cluster::{ByteSized, Comm};
-use peachy_prng::StableState;
 
 /// Balanced block distribution of `n` items over `size` ranks: rank `r`
 /// owns a contiguous range, sizes differing by at most one. Re-exported
@@ -51,15 +50,14 @@ impl<K: Hash + Eq, V> Kv<K, V> {
     /// key with `f` before the shuffle, cutting communication volume.
     ///
     /// This is the two-level optimization of §2: the cross-rank shuffle then
-    /// carries one pair per (rank, key) instead of one per emission. The
-    /// merged pairs come out in an order fixed by the input pairs.
+    /// carries one pair per (rank, key) instead of one per emission.
     pub fn combine<F>(self, f: F) -> Kv<K, V>
     where
         F: Fn(V, V) -> V,
     {
         // One probe per pair: the merged value is moved out of its slot to
         // fold and moved back in place.
-        let mut merged: HashMap<K, Option<V>, StableState> = HashMap::default();
+        let mut merged: HashMap<K, Option<V>> = HashMap::new();
         for (k, v) in self.pairs {
             match merged.entry(k) {
                 Entry::Occupied(mut slot) => {
@@ -190,8 +188,8 @@ impl<'c> MapReduce<'c> {
         }
         // One all-to-all exchange carries everything.
         let received = self.comm.alltoall(buckets);
-        // Group by key, in an order fixed by the received pairs.
-        let mut groups: HashMap<K, Vec<V>, StableState> = HashMap::default();
+        // Group by key.
+        let mut groups: HashMap<K, Vec<V>> = HashMap::new();
         for bucket in received {
             for (k, v) in bucket {
                 groups.entry(k).or_default().push(v);

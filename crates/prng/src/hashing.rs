@@ -13,11 +13,11 @@
 //! `usize`/`isize` are widened to 64 bits, so the same key hashes the same
 //! on every platform.
 //!
-//! [`StableState`] is the [`BuildHasher`] counterpart, std's `RandomState`
-//! without the randomness: a `HashMap<K, V, StableState>` iterates in an
-//! order that is a pure function of its insert sequence.
+//! [`StableState`] is the `BuildHasher` counterpart, std's `RandomState`
+//! without the randomness: within one build, a `HashMap<K, V, StableState>`
+//! iterates in an order that is a pure function of its insert sequence.
 
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::splitmix::SplitMix64;
 
@@ -83,17 +83,11 @@ impl Hasher for StableHash64 {
         SplitMix64::mix(self.state)
     }
 
-    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.absorb(u64::from_le_bytes(
-                word.try_into().expect("an 8-byte chunk"),
-            ));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            self.absorb(tail_word(tail));
+        for chunk in bytes.chunks(8) {
+            let mut buf = [0u8; 8];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            self.absorb(u64::from_le_bytes(buf));
         }
         self.absorb(bytes.len() as u64 ^ LEN_TAG);
     }
@@ -128,19 +122,22 @@ impl Hasher for StableHash64 {
     }
 }
 
-/// Seed of every [`StableState`] hasher. It must not be the routing seed
-/// (`peachy_cluster::dist::ROUTE_SEED`): every key a shuffle routes to
-/// bucket `p` of `n` has a routing hash ≡ `p` (mod `n`), so a map over one
-/// bucket hashed under that seed would index by low bits that never vary.
-const STATE_SEED: u64 = 0x57ab_1e5e_ed00_0001;
-
-/// A [`BuildHasher`] of [`StableHash64`]s under one fixed seed, with
-/// nothing to configure: std's `RandomState`, minus the per-instance
-/// random keys. Maps built on it iterate in the same order on every run,
-/// at the price of HashDoS resistance (the seed is public). An integer
-/// key hashes in two mixes, well under std's SipHash; a string takes one
-/// mix per 8-byte word plus three, in series, so a loop that waits on
-/// each short string's hash can run slower than under SipHash.
+/// A [`BuildHasher`](std::hash::BuildHasher) of [`StableHash64`]s under
+/// the default (zero) seed, with nothing to configure: std's
+/// `RandomState`, minus the per-instance random keys. The seed must not
+/// be the routing seed (`peachy_cluster::dist::ROUTE_SEED`): every key a
+/// shuffle routes to bucket `p` of `n` has a routing hash ≡ `p` (mod `n`),
+/// so a map over one bucket hashed under that seed would index by low
+/// bits that never vary.
+///
+/// A map built on it iterates in an order fixed by its insert sequence
+/// for one build of the program: std's `HashMap` promises no iteration
+/// order, and its table layout (group width, growth policy) may differ
+/// between Rust releases and targets. The seed is public, so such a map
+/// gives up HashDoS resistance. An integer key hashes in two mixes, well
+/// under std's SipHash; a string takes one mix per 8-byte word plus
+/// three, in series, so a loop that waits on each short string's hash
+/// can run slower than under SipHash.
 ///
 /// ```
 /// use std::collections::HashMap;
@@ -153,34 +150,7 @@ const STATE_SEED: u64 = 0x57ab_1e5e_ed00_0001;
 /// };
 /// assert_eq!(build(1_000), build(1_000)); // same inserts, same order
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StableState;
-
-impl BuildHasher for StableState {
-    type Hasher = StableHash64;
-
-    #[inline]
-    fn build_hasher(&self) -> StableHash64 {
-        StableHash64::seeded(STATE_SEED)
-    }
-}
-
-/// The 1–7 bytes of `tail` as one zero-padded little-endian word, read
-/// with two overlapping loads (their shared bytes land on the same bits),
-/// so a short string costs no `memcpy` call.
-#[inline]
-fn tail_word(tail: &[u8]) -> u64 {
-    let n = tail.len();
-    let le32 = |at: usize| u64::from(u32::from_le_bytes(tail[at..at + 4].try_into().unwrap()));
-    let le16 = |at: usize| u64::from(u16::from_le_bytes(tail[at..at + 2].try_into().unwrap()));
-    if n >= 4 {
-        le32(0) | le32(n - 4) << (8 * (n - 4))
-    } else if n >= 2 {
-        le16(0) | le16(n - 2) << (8 * (n - 2))
-    } else {
-        u64::from(tail[0])
-    }
-}
+pub type StableState = BuildHasherDefault<StableHash64>;
 
 /// Hash `key` with a [`StableHash64`] keyed by `seed`.
 pub fn stable_hash<K: std::hash::Hash + ?Sized>(key: &K, seed: u64) -> u64 {
@@ -192,7 +162,7 @@ pub fn stable_hash<K: std::hash::Hash + ?Sized>(key: &K, seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::Hash;
+    use std::hash::{BuildHasher, Hash};
 
     #[test]
     fn deterministic_across_instances() {
@@ -245,27 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn write_absorbs_zero_padded_words_then_the_length() {
-        // The definition `write` implements, for every tail length.
-        let reference = |bytes: &[u8]| {
-            let mut h = StableHash64::seeded(5);
-            for chunk in bytes.chunks(8) {
-                let mut buf = [0u8; 8];
-                buf[..chunk.len()].copy_from_slice(chunk);
-                h.write_u64(u64::from_le_bytes(buf));
-            }
-            h.write_u64(bytes.len() as u64 ^ LEN_TAG);
-            h.finish()
-        };
-        let bytes: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(151) ^ 0xa5).collect();
-        for len in 0..=bytes.len() {
-            let mut h = StableHash64::seeded(5);
-            h.write(&bytes[..len]);
-            assert_eq!(h.finish(), reference(&bytes[..len]), "{len} bytes");
-        }
-    }
-
-    #[test]
     fn placement_is_pinned() {
         // Routing and spill bytes depend on these; a change is a format
         // change, not a refactor.
@@ -281,13 +230,13 @@ mod tests {
     #[test]
     fn stable_states_build_equal_hashers() {
         // Two maps built apart (two processes, two runs) must agree.
-        let (a, b) = (StableState, StableState);
+        let (a, b) = (StableState::default(), StableState::default());
         for key in ["", "a", "peachy-parallel"] {
             let (mut ha, mut hb) = (a.build_hasher(), b.build_hasher());
             key.hash(&mut ha);
             key.hash(&mut hb);
             assert_eq!(ha.finish(), hb.finish(), "{key:?}");
-            assert_eq!(a.hash_one(key), stable_hash(key, STATE_SEED));
+            assert_eq!(a.hash_one(key), stable_hash(key, 0));
         }
         for key in 0..1_000u64 {
             assert_eq!(a.hash_one(key), b.hash_one(key), "{key}");

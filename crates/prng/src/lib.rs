@@ -34,7 +34,7 @@
 //!   on the SplitMix64 finalizer, used wherever hash *placement* must be
 //!   reproducible across Rust releases (shuffle routing, key → rank maps),
 //!   and [`StableState`], its fixed-seed `BuildHasher` for hash maps whose
-//!   iteration order must not change from run to run.
+//!   iteration order must not change from run to run of one build.
 //!
 //! ## Quick example: chunked reproducibility
 //!
