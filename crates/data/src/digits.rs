@@ -242,7 +242,7 @@ pub fn ascii_art(img: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::squared_distance;
+    use crate::kernels::dist2;
 
     #[test]
     fn render_in_unit_range() {
@@ -264,7 +264,7 @@ mod tests {
         let imgs: Vec<Vec<f64>> = (0..10).map(|d| render(d, &Style::clean())).collect();
         for i in 0..10 {
             for j in (i + 1)..10 {
-                let d = squared_distance(&imgs[i], &imgs[j]);
+                let d = dist2(&imgs[i], &imgs[j]);
                 assert!(d > 1.0, "digits {i} and {j} too similar: {d}");
             }
         }
@@ -349,8 +349,8 @@ mod tests {
             let img = r.sample(digit, 0.02);
             let best = (0..10)
                 .min_by(|&a, &b| {
-                    squared_distance(&img, &templates[a])
-                        .partial_cmp(&squared_distance(&img, &templates[b]))
+                    dist2(&img, &templates[a])
+                        .partial_cmp(&dist2(&img, &templates[b]))
                         .unwrap()
                 })
                 .unwrap();

@@ -4,8 +4,7 @@
 //! phase, brute-force k-NN, inertia, and the ensemble NN forward pass —
 //! bottoms out in a handful of dense kernels. This module is their single
 //! home; no scalar distance loop should live anywhere else (call sites use
-//! these functions, and [`crate::matrix::squared_distance`] delegates to
-//! [`dist2`]). The kernels come in two numeric families with different
+//! these functions). The kernels come in two numeric families with different
 //! equivalence guarantees:
 //!
 //! * **Exact family** — [`dist2`], [`dist2_scan`], [`dist2_scan_panels`]

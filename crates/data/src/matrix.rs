@@ -142,7 +142,7 @@ impl Matrix {
     /// Squared Euclidean distance between row `i` and an external point.
     #[inline]
     pub fn dist2_to(&self, i: usize, point: &[f64]) -> f64 {
-        squared_distance(self.row(i), point)
+        crate::kernels::dist2(self.row(i), point)
     }
 }
 
@@ -150,18 +150,6 @@ impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Matrix({}×{})", self.rows, self.cols)
     }
-}
-
-/// Squared Euclidean distance between two equal-length slices.
-///
-/// This is the Θ(d) kernel the k-NN assignment's cost model counts; the
-/// square root is deliberately omitted (monotone, so nearest-neighbour
-/// ordering is unchanged — a standard trick the assignment teaches).
-/// The canonical implementation lives in [`crate::kernels::dist2`]; this
-/// re-exported wrapper keeps the historical call sites working.
-#[inline]
-pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
-    crate::kernels::dist2(a, b)
 }
 
 /// A labelled point set: points plus one class label per point.
@@ -269,8 +257,9 @@ mod tests {
 
     #[test]
     fn squared_distance_basics() {
-        assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-        assert_eq!(squared_distance(&[1.0], &[1.0]), 0.0);
+        use crate::kernels::dist2;
+        assert_eq!(dist2(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
+        assert_eq!(dist2(&[1.0], &[1.0]), 0.0);
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub fn knn_paper_instance(seed: u64) -> (LabeledDataset, LabeledDataset) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::squared_distance;
+    use crate::kernels::dist2;
 
     #[test]
     fn blobs_shape_and_balance() {
@@ -140,8 +140,8 @@ mod tests {
         let first_c0 = ds.labels.iter().position(|&l| l == 0).unwrap();
         let first_c1 = ds.labels.iter().position(|&l| l == 1).unwrap();
         for i in 0..ds.len() {
-            let d0 = squared_distance(ds.points.row(i), ds.points.row(first_c0));
-            let d1 = squared_distance(ds.points.row(i), ds.points.row(first_c1));
+            let d0 = dist2(ds.points.row(i), ds.points.row(first_c0));
+            let d1 = dist2(ds.points.row(i), ds.points.row(first_c1));
             if ds.labels[i] == 0 {
                 assert!(d0 < d1);
             } else {

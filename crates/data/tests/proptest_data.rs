@@ -2,7 +2,8 @@
 
 use peachy_data::csv;
 use peachy_data::geo::{Point, Polygon};
-use peachy_data::matrix::{squared_distance, LabeledDataset, Matrix};
+use peachy_data::kernels::dist2;
+use peachy_data::matrix::{LabeledDataset, Matrix};
 use peachy_data::split::{k_folds, shuffled_indices, train_test_split};
 use peachy_prng::cases::{check, Gen};
 
@@ -100,9 +101,9 @@ fn squared_distance_is_metric_like() {
         let a = g.vec(1..10, finite_f64);
         // d(x,x) = 0 and d(x,y) = d(y,x) ≥ 0.
         let b: Vec<f64> = a.iter().map(|v| v + 1.0).collect();
-        assert_eq!(squared_distance(&a, &a), 0.0);
-        assert_eq!(squared_distance(&a, &b), squared_distance(&b, &a));
-        assert!(squared_distance(&a, &b) >= 0.0);
+        assert_eq!(dist2(&a, &a), 0.0);
+        assert_eq!(dist2(&a, &b), dist2(&b, &a));
+        assert!(dist2(&a, &b) >= 0.0);
     });
 }
 

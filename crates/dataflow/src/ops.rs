@@ -5,6 +5,7 @@
 use std::hash::Hash;
 
 use peachy_cluster::ByteSized;
+use peachy_prng::SplitMix64;
 
 use crate::dataset::Dataset;
 use crate::keyed::KeyedDataset;
@@ -39,7 +40,7 @@ impl<T: Clone + Send + Sync + SpillRow + 'static> Dataset<T> {
                 .enumerate()
                 .filter(|(i, _)| {
                     // Stateless per-row hash coin.
-                    let h = peachy_hash(seed, *i as u64);
+                    let h = SplitMix64::mix(seed ^ (*i as u64).wrapping_mul(0x9e3779b97f4a7c15));
                     h <= threshold
                 })
                 .map(|(_, r)| r)
@@ -103,14 +104,6 @@ where
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
     }
-}
-
-/// SplitMix-style stateless hash for the sampler.
-fn peachy_hash(seed: u64, i: u64) -> u64 {
-    let mut z = seed ^ i.wrapping_mul(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 impl<K, V> Dataset<(K, V)>

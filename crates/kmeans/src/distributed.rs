@@ -27,9 +27,8 @@ use peachy_cluster::{
 use peachy_data::kernels::Candidates;
 use peachy_data::Matrix;
 
-use crate::config::{KMeansConfig, KMeansResult, Termination};
+use crate::config::{check_inputs, lloyd, IterStats, KMeansConfig, KMeansResult};
 use crate::executor::fit_with;
-use crate::metrics::point_dist2;
 
 /// Run k-means on `ranks` simulated distributed-memory ranks.
 ///
@@ -56,13 +55,9 @@ pub(crate) fn fit_on_cluster(
     plan: &FaultPlan,
     stats: Option<&CommStats>,
 ) -> Result<KMeansResult, Vec<RankError>> {
-    let k = init.rows();
-    assert!(k >= 1, "need at least one centroid");
-    assert!(points.rows() >= 1, "need at least one point");
-    assert_eq!(points.cols(), init.cols(), "dimensionality mismatch");
+    check_inputs(points, config, init);
     assert!(ranks >= 1, "need at least one rank");
-    let d = points.cols();
-    let n = points.rows();
+    let (n, d, k) = (points.rows(), points.cols(), init.rows());
 
     let results = Cluster::run_with_plan(ranks, plan, |comm| {
         let rank = comm.rank();
@@ -101,75 +96,41 @@ pub(crate) fn fit_on_cluster(
                 Vec::new()
             }),
         );
-        let mut centroids = Matrix::from_vec(k, d, (*centroids_shared).clone());
+        let centroids = Matrix::from_vec(k, d, (*centroids_shared).clone());
         drop(centroids_shared);
 
         let mut assignments = vec![u32::MAX; local_n];
-        let mut iterations = 0usize;
-        let (termination, last_changes, last_shift) = loop {
+        let fit = lloyd(config, centroids, |centroids| {
             // Local assignment + local accumulators, via the same shared
             // kernel as every other implementation (norms hoisted once per
             // iteration → identical assignments to the sequential run).
-            let cand = Candidates::new(&centroids);
-            let mut changes = 0u64;
-            let mut counts = vec![0u64; k];
-            let mut sums = vec![0.0f64; k * d];
-            for i in 0..local_n {
+            let cand = Candidates::new(centroids);
+            let mut part = IterStats::zeros(k, d);
+            for (i, slot) in assignments.iter_mut().enumerate() {
                 let row = local.row(i);
                 let a = cand.nearest(row);
-                if assignments[i] != a {
-                    changes += 1;
-                    assignments[i] = a;
+                if *slot != a {
+                    part.changes += 1;
+                    *slot = a;
                 }
-                counts[a as usize] += 1;
-                let s = &mut sums[a as usize * d..(a as usize + 1) * d];
-                for (acc, &v) in s.iter_mut().zip(row) {
-                    *acc += v;
-                }
+                part.add(a, row);
             }
 
             // The distributed reduction: one allreduce fuses all three
             // accumulators (changes, counts, sums). The shared variant
             // broadcasts the combined total as one `Arc` per tree edge —
             // the accumulators are only read afterwards, so no rank needs
-            // its own copy.
-            let reduced =
-                comm.allreduce_shared((changes, counts, sums), |(c1, n1, s1), (c2, n2, s2)| {
-                    (
-                        c1 + c2,
-                        n1.iter().zip(&n2).map(|(a, b)| a + b).collect(),
-                        s1.iter().zip(&s2).map(|(a, b)| a + b).collect(),
-                    )
-                });
-            let (changes, counts, sums) = (reduced.0, &reduced.1, &reduced.2);
+            // its own copy. Every rank then computes the same centroids
+            // (replicated update).
+            let reduced = comm.allreduce_shared(part, IterStats::merge);
             if rank == 0 {
                 if let Some(s) = stats {
                     // One fused allreduce payload: changes + counts + sums.
                     s.add_collective_bytes((8 * (1 + k + k * d)) as u64);
                 }
             }
-
-            // Replicated centroid update: every rank computes the same thing.
-            let mut shift: f64 = 0.0;
-            for c in 0..k {
-                if counts[c] == 0 {
-                    continue;
-                }
-                let inv = 1.0 / counts[c] as f64;
-                let new: Vec<f64> = sums[c * d..(c + 1) * d].iter().map(|s| s * inv).collect();
-                shift = shift.max(point_dist2(&new, centroids.row(c)).sqrt());
-                centroids.row_mut(c).copy_from_slice(&new);
-            }
-            iterations += 1;
-
-            if changes as usize <= config.min_changes {
-                break (Termination::FewChanges, changes as usize, shift);
-            } else if shift <= config.min_shift {
-                break (Termination::SmallShift, changes as usize, shift);
-            } else if iterations >= config.max_iters {
-                break (Termination::MaxIters, changes as usize, shift);
-            }
-        };
+            reduced
+        });
 
         // Collect results at the root.
         let gathered = comm.gather(0, assignments);
@@ -184,14 +145,7 @@ pub(crate) fn fit_on_cluster(
                 s.add_bytes(job_bytes);
             }
         }
-        gathered.map(|blocks| KMeansResult {
-            centroids: centroids.clone(),
-            assignments: blocks.concat(),
-            iterations,
-            termination,
-            last_changes,
-            last_shift,
-        })
+        gathered.map(|blocks| fit.result(blocks.concat()))
     });
 
     let mut errors = Vec::new();

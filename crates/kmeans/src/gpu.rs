@@ -28,8 +28,7 @@
 use peachy_data::Matrix;
 use peachy_gpu::{GlobalBuffer, Kernel, Launch, Phase, ThreadCtx};
 
-use crate::config::{KMeansConfig, KMeansResult, Termination};
-use crate::metrics::point_dist2;
+use crate::config::{check_inputs, lloyd, IterStats, KMeansConfig, KMeansResult};
 
 /// Accumulation strategy for the update phase on the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,11 +204,8 @@ pub fn fit_gpu(
     strategy: GpuStrategy,
     launch: GpuLaunch,
 ) -> KMeansResult {
-    let k = init.rows();
-    let d = points.cols();
-    let n = points.rows();
-    assert!(k >= 1 && n >= 1, "need data and centroids");
-    assert_eq!(d, init.cols(), "dimensionality mismatch");
+    check_inputs(points, config, &init);
+    let (n, d, k) = (points.rows(), points.cols(), init.rows());
     let off = Offsets::new(n, d, k);
 
     // Device allocation: points + centroids, zero elsewhere; assignments
@@ -230,9 +226,7 @@ pub fn fit_gpu(
         GpuStrategy::Atomic => 0,
         GpuStrategy::BlockReduction => launch.block * kernel.slice_len(),
     };
-    let mut centroids = init;
-    let mut iterations = 0;
-    loop {
+    lloyd(config, init, |centroids| {
         // Reset accumulators, upload current centroids.
         g.store_u64(off.changes, 0);
         for c in 0..k {
@@ -252,44 +246,19 @@ pub fn fit_gpu(
         }
         .run(&kernel, &g);
 
-        // Host-side update of the (tiny) centroid table.
-        let changes = g.load_u64(off.changes) as usize;
-        let mut shift: f64 = 0.0;
-        for c in 0..k {
-            let count = g.load_u64(off.counts + c);
-            if count == 0 {
-                continue;
-            }
-            let inv = 1.0 / count as f64;
-            let new: Vec<f64> = (0..d).map(|j| g.load(off.sums + c * d + j) * inv).collect();
-            shift = shift.max(point_dist2(&new, centroids.row(c)).sqrt());
-            centroids.row_mut(c).copy_from_slice(&new);
+        // Read the accumulators back; the (tiny) centroid update runs on
+        // the host.
+        IterStats {
+            changes: g.load_u64(off.changes) as usize,
+            counts: (0..k).map(|c| g.load_u64(off.counts + c)).collect(),
+            sums: (0..k * d).map(|w| g.load(off.sums + w)).collect(),
         }
-        iterations += 1;
-
-        let termination = if changes <= config.min_changes {
-            Some(Termination::FewChanges)
-        } else if shift <= config.min_shift {
-            Some(Termination::SmallShift)
-        } else if iterations >= config.max_iters {
-            Some(Termination::MaxIters)
-        } else {
-            None
-        };
-        if let Some(termination) = termination {
-            let assignments: Vec<u32> = (0..n)
-                .map(|i| g.load_u64(off.assignments + i) as u32)
-                .collect();
-            return KMeansResult {
-                centroids,
-                assignments,
-                iterations,
-                termination,
-                last_changes: changes,
-                last_shift: shift,
-            };
-        }
-    }
+    })
+    .result(
+        (0..n)
+            .map(|i| g.load_u64(off.assignments + i) as u32)
+            .collect(),
+    )
 }
 
 #[cfg(test)]

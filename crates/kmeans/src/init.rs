@@ -1,10 +1,9 @@
 //! Centroid initialization: random point sampling (the starter code's
 //! method) and k-means++ (an extension for better seeds).
 
+use peachy_data::kernels;
 use peachy_data::Matrix;
 use peachy_prng::{Lcg64, RandomStream};
-
-use crate::metrics::point_dist2;
 
 /// Pick `k` distinct data points uniformly at random as initial centroids
 /// — "initially, centroid positions are chosen randomly".
@@ -34,7 +33,7 @@ pub fn kmeans_plus_plus(points: &Matrix, k: usize, seed: u64) -> Matrix {
     chosen.push(rng.next_below(n as u64) as usize);
     // dist2[i] = squared distance to the nearest chosen centroid.
     let mut dist2: Vec<f64> = (0..n)
-        .map(|i| point_dist2(points.row(i), points.row(chosen[0])))
+        .map(|i| kernels::dist2(points.row(i), points.row(chosen[0])))
         .collect();
     while chosen.len() < k {
         let total: f64 = dist2.iter().sum();
@@ -57,7 +56,7 @@ pub fn kmeans_plus_plus(points: &Matrix, k: usize, seed: u64) -> Matrix {
         };
         chosen.push(next);
         for i in 0..n {
-            let d = point_dist2(points.row(i), points.row(next));
+            let d = kernels::dist2(points.row(i), points.row(next));
             if d < dist2[i] {
                 dist2[i] = d;
             }
@@ -111,7 +110,7 @@ mod tests {
         // Each pair of centroids must be far apart (inter-blob distance ≫ 1).
         for i in 0..3 {
             for j in (i + 1)..3 {
-                let d = point_dist2(c.row(i), c.row(j));
+                let d = kernels::dist2(c.row(i), c.row(j));
                 assert!(d > 1.0, "centroids {i},{j} too close: {d}");
             }
         }

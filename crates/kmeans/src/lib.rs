@@ -24,6 +24,14 @@
 //! (counting members and summing coordinates), terminating on any of three
 //! thresholds — iteration count, cluster changes, or centroid displacement.
 //!
+//! That main loop is written once, as the crate's Lloyd driver (in
+//! [`config`]): it owns the centroids, the per-cluster means (an empty
+//! cluster keeps its centroid), the largest-shift measure and the three
+//! thresholds. Every variant — sequential, the three strategies, the
+//! gather-buffer layout, the GPU kernel and each distributed rank —
+//! supplies only its step: one pass that fills the counts, sums and
+//! change count, resolving its races its own way.
+//!
 //! ```
 //! use peachy_data::synth::gaussian_blobs;
 //! use peachy_kmeans::{fit, init, KMeansConfig, Strategy};

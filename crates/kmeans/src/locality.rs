@@ -15,80 +15,44 @@
 use peachy_data::kernels::Candidates;
 use peachy_data::Matrix;
 
-use crate::config::{KMeansConfig, KMeansResult, Termination};
-use crate::metrics::point_dist2;
+use crate::config::{check_inputs, lloyd, IterStats, KMeansConfig, KMeansResult};
 
 /// Run k-means with per-cluster gather buffers (the locality layout).
 pub fn fit_buffers(points: &Matrix, config: &KMeansConfig, init: Matrix) -> KMeansResult {
-    let k = init.rows();
-    assert!(k >= 1, "need at least one centroid");
-    assert!(points.rows() >= 1, "need at least one point");
-    assert_eq!(points.cols(), init.cols(), "dimensionality mismatch");
-    let d = points.cols();
-    let n = points.rows();
-
-    let mut centroids = init;
-    let mut assignments: Vec<u32> = vec![u32::MAX; n];
+    check_inputs(points, config, &init);
+    let (k, d) = (init.rows(), points.cols());
+    let mut assignments: Vec<u32> = vec![u32::MAX; points.rows()];
     // Reused gather buffers: one Vec of point indices per cluster.
     let mut buffers: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut iterations = 0;
-
-    loop {
+    lloyd(config, init, |centroids| {
         // Phase 1: assignment, gathering indices into cluster buffers.
         for b in buffers.iter_mut() {
             b.clear();
         }
-        let cand = Candidates::new(&centroids);
-        let mut changes = 0usize;
-        for i in 0..n {
+        let cand = Candidates::new(centroids);
+        let mut stats = IterStats::zeros(k, d);
+        for (i, slot) in assignments.iter_mut().enumerate() {
             let a = cand.nearest(points.row(i));
-            if assignments[i] != a {
-                changes += 1;
-                assignments[i] = a;
+            if *slot != a {
+                stats.changes += 1;
+                *slot = a;
             }
             buffers[a as usize].push(i);
         }
 
         // Phase 2: per-cluster sequential traversal — the locality win.
-        let mut shift: f64 = 0.0;
-        let mut sum = vec![0.0f64; d];
         for (c, buffer) in buffers.iter().enumerate() {
-            if buffer.is_empty() {
-                continue;
-            }
-            sum.iter_mut().for_each(|s| *s = 0.0);
+            stats.counts[c] = buffer.len() as u64;
+            let sum = &mut stats.sums[c * d..(c + 1) * d];
             for &i in buffer {
                 for (s, &v) in sum.iter_mut().zip(points.row(i)) {
                     *s += v;
                 }
             }
-            let inv = 1.0 / buffer.len() as f64;
-            let new: Vec<f64> = sum.iter().map(|s| s * inv).collect();
-            shift = shift.max(point_dist2(&new, centroids.row(c)).sqrt());
-            centroids.row_mut(c).copy_from_slice(&new);
         }
-        iterations += 1;
-
-        let termination = if changes <= config.min_changes {
-            Some(Termination::FewChanges)
-        } else if shift <= config.min_shift {
-            Some(Termination::SmallShift)
-        } else if iterations >= config.max_iters {
-            Some(Termination::MaxIters)
-        } else {
-            None
-        };
-        if let Some(termination) = termination {
-            return KMeansResult {
-                centroids,
-                assignments,
-                iterations,
-                termination,
-                last_changes: changes,
-                last_shift: shift,
-            };
-        }
-    }
+        stats
+    })
+    .result(assignments)
 }
 
 #[cfg(test)]

@@ -9,13 +9,6 @@
 use peachy_data::kernels;
 use peachy_data::Matrix;
 
-/// Squared Euclidean distance between two points (the exact scalar
-/// kernel, [`kernels::dist2`]).
-#[inline]
-pub fn point_dist2(a: &[f64], b: &[f64]) -> f64 {
-    kernels::dist2(a, b)
-}
-
 /// Index of the nearest centroid to `point` (ties break to the lowest
 /// index — deterministic across all implementations).
 ///

@@ -2,12 +2,13 @@
 //! sweep — how the classroom answers "what should K be?" after the
 //! assignment's algorithm work is done.
 
+use peachy_data::kernels::dist2;
 use peachy_data::Matrix;
 use peachy_par::prelude::*;
 
 use crate::config::KMeansConfig;
 use crate::init::kmeans_plus_plus;
-use crate::metrics::{inertia, point_dist2};
+use crate::metrics::inertia;
 use crate::seq::fit_seq;
 
 /// Mean silhouette coefficient over all points:
@@ -38,8 +39,7 @@ pub fn silhouette(points: &Matrix, assignments: &[u32], k: usize) -> f64 {
             let mut sums = vec![0.0f64; k];
             for j in 0..n {
                 if j != i {
-                    sums[assignments[j] as usize] +=
-                        point_dist2(points.row(i), points.row(j)).sqrt();
+                    sums[assignments[j] as usize] += dist2(points.row(i), points.row(j)).sqrt();
                 }
             }
             let a = sums[own] / (counts[own] - 1) as f64;

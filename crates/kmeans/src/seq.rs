@@ -11,90 +11,47 @@
 //!    points, computed by counting members and summing coordinates. Empty
 //!    clusters keep their previous centroid.
 //!
-//! Termination checks, in order: few changes, small shift, max iterations.
+//! This file is the sequential step: both phases' accumulation. The main
+//! loop, the means and the termination checks (in order: few changes,
+//! small shift, max iterations) are the crate's one Lloyd driver.
 
 use peachy_data::kernels::Candidates;
 use peachy_data::Matrix;
 
-use crate::config::{KMeansConfig, KMeansResult, Termination};
-use crate::metrics::point_dist2;
+use crate::config::{check_inputs, lloyd, IterStats, KMeansConfig, KMeansResult};
 
 /// Run k-means sequentially from the given initial centroids.
 pub fn fit_seq(points: &Matrix, config: &KMeansConfig, init: Matrix) -> KMeansResult {
-    let k = init.rows();
-    assert!(k >= 1, "need at least one centroid");
-    assert!(points.rows() >= 1, "need at least one point");
-    assert_eq!(points.cols(), init.cols(), "dimensionality mismatch");
-    assert!(config.max_iters >= 1, "need at least one iteration");
-    let d = points.cols();
-    let n = points.rows();
-
-    let mut centroids = init;
-    let mut assignments: Vec<u32> = vec![u32::MAX; n];
-    let mut iterations = 0;
-
-    loop {
+    check_inputs(points, config, &init);
+    let (k, d) = (init.rows(), points.cols());
+    let mut assignments: Vec<u32> = vec![u32::MAX; points.rows()];
+    lloyd(config, init, |centroids| {
         // Phase 1: assignment (+ change counting). Centroid norms are
         // hoisted once per iteration; the per-point scan is the same
         // kernel every parallel implementation uses.
-        let cand = Candidates::new(&centroids);
-        let mut changes = 0usize;
-        for i in 0..n {
+        let cand = Candidates::new(centroids);
+        let mut stats = IterStats::zeros(k, d);
+        for (i, slot) in assignments.iter_mut().enumerate() {
             let a = cand.nearest(points.row(i));
-            if assignments[i] != a {
-                changes += 1;
-                assignments[i] = a;
+            if *slot != a {
+                stats.changes += 1;
+                *slot = a;
             }
         }
-
-        // Phase 2: update (counts + coordinate sums → means).
-        let mut counts = vec![0u64; k];
-        let mut sums = vec![0.0f64; k * d];
+        // Phase 2: update (counts + coordinate sums; the driver takes the
+        // means).
         for (i, &a) in assignments.iter().enumerate() {
-            counts[a as usize] += 1;
-            let row = points.row(i);
-            let s = &mut sums[a as usize * d..(a as usize + 1) * d];
-            for (acc, &v) in s.iter_mut().zip(row) {
-                *acc += v;
-            }
+            stats.add(a, points.row(i));
         }
-        let mut shift: f64 = 0.0;
-        for c in 0..k {
-            if counts[c] == 0 {
-                continue; // empty cluster: centroid stays put
-            }
-            let inv = 1.0 / counts[c] as f64;
-            let new: Vec<f64> = sums[c * d..(c + 1) * d].iter().map(|s| s * inv).collect();
-            shift = shift.max(point_dist2(&new, centroids.row(c)).sqrt());
-            centroids.row_mut(c).copy_from_slice(&new);
-        }
-        iterations += 1;
-
-        let termination = if changes <= config.min_changes {
-            Some(Termination::FewChanges)
-        } else if shift <= config.min_shift {
-            Some(Termination::SmallShift)
-        } else if iterations >= config.max_iters {
-            Some(Termination::MaxIters)
-        } else {
-            None
-        };
-        if let Some(termination) = termination {
-            return KMeansResult {
-                centroids,
-                assignments,
-                iterations,
-                termination,
-                last_changes: changes,
-                last_shift: shift,
-            };
-        }
-    }
+        stats
+    })
+    .result(assignments)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Termination;
     use crate::init::random_init;
     use crate::metrics::inertia;
     use peachy_data::synth::gaussian_blobs;

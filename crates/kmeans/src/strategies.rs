@@ -16,6 +16,10 @@
 //! chunk decomposition is fixed and the merge is ordered, its output is
 //! **bit-identical regardless of thread count**, unlike the other two whose
 //! floating-point sums depend on interleaving (by about 1 ulp).
+//!
+//! Each strategy is only a step: one pass over the points that fills the
+//! pass's accumulators. The main loop, the means and the termination rule
+//! are the crate's one Lloyd driver, shared with every other variant.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -26,8 +30,7 @@ use peachy_data::kernels::Candidates;
 use peachy_data::Matrix;
 use peachy_par::prelude::*;
 
-use crate::config::{KMeansConfig, KMeansResult, Termination};
-use crate::metrics::point_dist2;
+use crate::config::{check_inputs, lloyd, IterStats, KMeansConfig, KMeansResult};
 
 /// Which race-resolution strategy to use for the shared accumulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,19 +48,6 @@ pub enum Strategy {
 /// The actual chunk geometry is derived from an [`EvenBlocks`] distribution
 /// of this width, never hardcoded in the loop.
 pub(crate) const REDUCTION_CHUNKS: usize = 64;
-
-/// Accumulators produced by one iteration's phases.
-struct IterStats {
-    changes: usize,
-    counts: Vec<u64>,
-    sums: Vec<f64>,
-}
-
-impl peachy_cluster::ByteSized for IterStats {
-    fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<usize>() + 8 * (self.counts.len() + self.sums.len())
-    }
-}
 
 /// Run parallel k-means from the given initial centroids.
 pub fn fit(
@@ -80,74 +70,27 @@ pub(crate) fn fit_impl(
     reduction_chunks: usize,
     stats: Option<&CommStats>,
 ) -> KMeansResult {
-    let k = init.rows();
-    assert!(k >= 1, "need at least one centroid");
-    assert!(points.rows() >= 1, "need at least one point");
-    assert_eq!(points.cols(), init.cols(), "dimensionality mismatch");
-    assert!(config.max_iters >= 1, "need at least one iteration");
-    let d = points.cols();
-    let n = points.rows();
-
-    let mut centroids = init;
-    let mut assignments: Vec<u32> = vec![u32::MAX; n];
-    let mut iterations = 0;
-
-    loop {
+    check_inputs(points, config, &init);
+    let mut assignments: Vec<u32> = vec![u32::MAX; points.rows()];
+    lloyd(config, init, |centroids| {
         // Hoist the centroid norms once per iteration; every strategy
         // shares the same kernel, so assignments are identical across the
         // whole ladder (and the sequential reference) by construction.
-        let cand = Candidates::new(&centroids);
-        let iter_stats = match strategy {
+        let cand = Candidates::new(centroids);
+        match strategy {
             Strategy::Critical => iter_critical(points, &cand, &mut assignments),
             Strategy::Atomic => iter_atomic(points, &cand, &mut assignments),
             Strategy::Reduction => {
                 iter_reduction(points, &cand, &mut assignments, reduction_chunks, stats)
             }
-        };
-        drop(cand);
-
-        let mut shift: f64 = 0.0;
-        for c in 0..k {
-            if iter_stats.counts[c] == 0 {
-                continue;
-            }
-            let inv = 1.0 / iter_stats.counts[c] as f64;
-            let new: Vec<f64> = iter_stats.sums[c * d..(c + 1) * d]
-                .iter()
-                .map(|s| s * inv)
-                .collect();
-            shift = shift.max(point_dist2(&new, centroids.row(c)).sqrt());
-            centroids.row_mut(c).copy_from_slice(&new);
         }
-        iterations += 1;
-
-        let termination = if iter_stats.changes <= config.min_changes {
-            Some(Termination::FewChanges)
-        } else if shift <= config.min_shift {
-            Some(Termination::SmallShift)
-        } else if iterations >= config.max_iters {
-            Some(Termination::MaxIters)
-        } else {
-            None
-        };
-        if let Some(termination) = termination {
-            return KMeansResult {
-                centroids,
-                assignments,
-                iterations,
-                termination,
-                last_changes: iter_stats.changes,
-                last_shift: shift,
-            };
-        }
-    }
+    })
+    .result(assignments)
 }
 
 /// Stage 2: every shared update inside a critical region.
 fn iter_critical(points: &Matrix, cand: &Candidates<'_>, assignments: &mut [u32]) -> IterStats {
-    let k = cand.len();
-    let d = points.cols();
-    let shared = Mutex::new((0usize, vec![0u64; k], vec![0.0f64; k * d]));
+    let shared = Mutex::new(IterStats::zeros(cand.len(), points.cols()));
     assignments
         .par_iter_mut()
         .enumerate()
@@ -161,22 +104,13 @@ fn iter_critical(points: &Matrix, cand: &Candidates<'_>, assignments: &mut [u32]
                 .lock()
                 .expect("nothing panics in the critical region");
             if changed {
-                guard.0 += 1;
+                guard.changes += 1;
             }
-            guard.1[a as usize] += 1;
-            let s = &mut guard.2[a as usize * d..(a as usize + 1) * d];
-            for (acc, &v) in s.iter_mut().zip(row) {
-                *acc += v;
-            }
+            guard.add(a, row);
         });
-    let (changes, counts, sums) = shared
+    shared
         .into_inner()
-        .expect("nothing panics in the critical region");
-    IterStats {
-        changes,
-        counts,
-        sums,
-    }
+        .expect("nothing panics in the critical region")
 }
 
 /// Atomic f64 add by CAS on the bit pattern — the "substitute critical
@@ -250,45 +184,23 @@ fn iter_reduction(
     // accumulators; no shared mutable state exists inside the parallel region.
     let kernel = |_part: usize, range: std::ops::Range<usize>, slots: &mut [u32]| {
         let base = range.start;
-        let mut changes = 0usize;
-        let mut counts = vec![0u64; k];
-        let mut sums = vec![0.0f64; k * d];
+        let mut part = IterStats::zeros(k, d);
         for (off, slot) in slots.iter_mut().enumerate() {
             let row = points.row(base + off);
             let a = cand.nearest(row);
             if *slot != a {
-                changes += 1;
+                part.changes += 1;
             }
             *slot = a;
-            counts[a as usize] += 1;
-            let s = &mut sums[a as usize * d..(a as usize + 1) * d];
-            for (acc, &v) in s.iter_mut().zip(row) {
-                *acc += v;
-            }
+            part.add(a, row);
         }
-        IterStats {
-            changes,
-            counts,
-            sums,
-        }
+        part
     };
     let partials: Vec<IterStats> = exec.map_parts_mut(&dist, assignments, stats, kernel);
     // Ordered, sequential merge: deterministic whatever the pool size.
-    let mut total = IterStats {
-        changes: 0,
-        counts: vec![0; k],
-        sums: vec![0.0; k * d],
-    };
-    for p in partials {
-        total.changes += p.changes;
-        for (t, v) in total.counts.iter_mut().zip(p.counts) {
-            *t += v;
-        }
-        for (t, v) in total.sums.iter_mut().zip(p.sums) {
-            *t += v;
-        }
-    }
-    total
+    partials
+        .into_iter()
+        .fold(IterStats::zeros(k, d), IterStats::merge)
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! The build recursion is parallelized with `peachy_par::join` (the "more
 //! challenging" variant: *build the tree in parallel*).
 
-use peachy_data::matrix::{squared_distance, LabeledDataset};
+use peachy_data::kernels::dist2;
+use peachy_data::matrix::LabeledDataset;
 
 use crate::heap::BoundedMaxHeap;
 use crate::{majority_vote, Neighbor};
@@ -218,7 +219,7 @@ fn search(
     match node {
         Node::Leaf { points } => {
             for &i in points {
-                let d2 = squared_distance(db.points.row(i), query);
+                let d2 = dist2(db.points.row(i), query);
                 // Offer unconditionally: equal-distance candidates may still
                 // win the (dist, index) tie-break against the current worst.
                 heap.offer(Neighbor {

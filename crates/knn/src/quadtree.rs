@@ -10,7 +10,8 @@
 //! this crate, so results are `assert_eq!`-able against brute force and
 //! the KD-tree.
 
-use peachy_data::matrix::{squared_distance, LabeledDataset};
+use peachy_data::kernels::dist2;
+use peachy_data::matrix::LabeledDataset;
 
 use crate::heap::BoundedMaxHeap;
 use crate::{majority_vote, Neighbor};
@@ -170,7 +171,7 @@ fn search(
     match node {
         Node::Leaf { points } => {
             for &i in points {
-                let d2 = squared_distance(db.points.row(i), query);
+                let d2 = dist2(db.points.row(i), query);
                 heap.offer(Neighbor {
                     dist2: d2,
                     index: i,

@@ -79,7 +79,7 @@ fn neighbours_sorted_and_consistent() {
                 assert!(w[0].cmp_key() <= w[1].cmp_key());
             }
             for n in &nn {
-                let d2 = peachy_data::matrix::squared_distance(db.points.row(n.index), q);
+                let d2 = peachy_data::kernels::dist2(db.points.row(n.index), q);
                 assert_eq!(n.dist2, d2);
                 assert_eq!(n.label, db.labels[n.index]);
             }

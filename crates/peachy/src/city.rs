@@ -195,52 +195,7 @@ pub fn arrests_per_100k_with(
     partitions: usize,
     cfg: OptimizerConfig,
 ) -> (Vec<NtaRate>, Arc<ShuffleStats>) {
-    let stats = ShuffleStats::new();
-    let ntas = Arc::new(parse_boundaries(&tables.boundaries));
-
-    // Ingest + clean: current-year arrests only, valid coordinates only.
-    let current_year = tables.current_year;
-    let arrests = Dataset::from_text(&tables.arrests_current, partitions)
-        .with_optimizer(cfg)
-        .flat_map(|line| parse_arrest(&line))
-        .filter(move |a| a.year == current_year);
-
-    // Spatial join: point-in-polygon lookup against the NTA polygons.
-    let located = {
-        let ntas = Arc::clone(&ntas);
-        arrests.flat_map(move |a| locate(&ntas, a.at).map(|idx| ntas[idx].code.clone()))
-    };
-
-    // Aggregate: arrests per NTA code.
-    let counts = located
-        .key_by(|code| code.clone())
-        .with_stats(Arc::clone(&stats))
-        .map_values(|_| 1u64)
-        .reduce_by_key(|a, b| a + b);
-
-    // Join with population and normalize per 100k.
-    let population = KeyedDataset::from_dataset(Dataset::from_vec(
-        parse_population(&tables.population),
-        partitions,
-    ));
-    let mut rows: Vec<NtaRate> = counts
-        .join(&population)
-        .collect()
-        .into_iter()
-        .map(|(code, (arrests, population))| NtaRate {
-            code,
-            arrests,
-            population,
-            per_100k: arrests as f64 * 100_000.0 / population as f64,
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.per_100k
-            .partial_cmp(&a.per_100k)
-            .expect("finite")
-            .then(a.code.cmp(&b.code))
-    });
-    (rows, stats)
+    per_100k(tables, partitions, cfg, false)
 }
 
 /// Analysis 1, improved plan: same question as [`arrests_per_100k`] but
@@ -252,25 +207,49 @@ pub fn arrests_per_100k_broadcast(
     tables: &CityTables,
     partitions: usize,
 ) -> (Vec<NtaRate>, Arc<ShuffleStats>) {
+    per_100k(tables, partitions, OptimizerConfig::default(), true)
+}
+
+/// Analysis 1 under either plan. The two differ only in the population
+/// join: a shuffle join against `partitions` partitions, or (`broadcast`)
+/// a broadcast join against one.
+fn per_100k(
+    tables: &CityTables,
+    partitions: usize,
+    cfg: OptimizerConfig,
+    broadcast: bool,
+) -> (Vec<NtaRate>, Arc<ShuffleStats>) {
     let stats = ShuffleStats::new();
     let ntas = Arc::new(parse_boundaries(&tables.boundaries));
+
+    // Ingest + clean: current-year arrests only, valid coordinates only.
     let current_year = tables.current_year;
     let arrests = Dataset::from_text(&tables.arrests_current, partitions)
+        .with_optimizer(cfg)
         .flat_map(|line| parse_arrest(&line))
         .filter(move |a| a.year == current_year);
-    let located = {
-        let ntas = Arc::clone(&ntas);
-        arrests.flat_map(move |a| locate(&ntas, a.at).map(|idx| ntas[idx].code.clone()))
-    };
+
+    // Spatial join: point-in-polygon lookup against the NTA polygons.
+    let located = arrests.flat_map(move |a| locate(&ntas, a.at).map(|idx| ntas[idx].code.clone()));
+
+    // Aggregate: arrests per NTA code.
     let counts = located
         .key_by(|code| code.clone())
         .with_stats(Arc::clone(&stats))
         .map_values(|_| 1u64)
         .reduce_by_key(|a, b| a + b);
-    let population =
-        KeyedDataset::from_dataset(Dataset::from_vec(parse_population(&tables.population), 1));
-    let mut rows: Vec<NtaRate> = counts
-        .broadcast_join(&population)
+
+    // Join with population and normalize per 100k.
+    let population = KeyedDataset::from_dataset(Dataset::from_vec(
+        parse_population(&tables.population),
+        if broadcast { 1 } else { partitions },
+    ));
+    let joined = if broadcast {
+        counts.broadcast_join(&population)
+    } else {
+        counts.join(&population)
+    };
+    let mut rows: Vec<NtaRate> = joined
         .collect()
         .into_iter()
         .map(|(code, (arrests, population))| NtaRate {

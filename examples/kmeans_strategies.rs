@@ -46,6 +46,8 @@ fn main() {
     let t_seq = t0.elapsed();
     println!("{:<22} {:>10.2?}   (reference)", "sequential", t_seq);
 
+    // The ladder in the paper's order: each rung should beat the last.
+    let mut ladder = Vec::new();
     for (name, strategy) in [
         ("critical (mutex)", Strategy::Critical),
         ("atomic (CAS)", Strategy::Atomic),
@@ -59,6 +61,7 @@ fn main() {
             "{name:<22} {t:>10.2?}   speedup {:>5.2}×",
             t_seq.as_secs_f64() / t.as_secs_f64()
         );
+        ladder.push((name, t));
     }
 
     for ranks in [2usize, 4, 8] {
@@ -72,8 +75,30 @@ fn main() {
             t_seq.as_secs_f64() / t.as_secs_f64()
         );
     }
-    println!("\n(The ladder's lesson: reductions beat atomics beat critical regions,");
-    println!(" and the distributed version needs the same reduction anyway.)");
+
+    // Report the ordering this run measured, not the one the paper expects.
+    let mut fastest_first = ladder.clone();
+    fastest_first.sort_by_key(|&(_, t)| t);
+    let order: Vec<String> = fastest_first
+        .iter()
+        .map(|(name, t)| format!("{name} {t:.2?}"))
+        .collect();
+    println!("\nmeasured, fastest first: {}", order.join(" < "));
+    for pair in ladder.windows(2) {
+        let ((prev, t_prev), (next, t_next)) = (pair[0], pair[1]);
+        let verdict = if t_next < t_prev {
+            "beats"
+        } else {
+            "does NOT beat"
+        };
+        println!(
+            "  {next} {verdict} {prev} here ({:.2}× its time)",
+            t_next.as_secs_f64() / t_prev.as_secs_f64()
+        );
+    }
+    println!(
+        "(The distributed version needs the same reduction anyway: one allreduce per iteration.)"
+    );
 }
 
 /// Plot points colour-coded by cluster (digits) plus centroids (*).
